@@ -753,6 +753,141 @@ let test_parallel_join_partition_stats () =
   check Alcotest.int "hash join used jobs partitions" 4
     stats.Exec.node_partitions.(0)
 
+(* Row-for-row parity for every operator case, fused and unfused, on a
+   database where Paragraph spans several morsels (so probes, dedup
+   merges and partitioned builds all see more than one work unit). *)
+let test_parallel_row_order_all_ops () =
+  let d =
+    Soqm_core.Db.create
+      ~params:{ Soqm_core.Datagen.default with n_docs = 48 }
+      ()
+  in
+  let xctx = Soqm_core.Engine.exec_ctx d in
+  check Alcotest.bool "paragraphs span several morsels" true
+    (Object_store.extent_size d.Soqm_core.Db.store "Paragraph"
+    > Exec.morsel_size);
+  let int n = Restricted.OConst (Value.Int n) in
+  let scan_p = Plan.FullScan ("p", "Paragraph") in
+  let num base = Plan.MapProp ("n", "number", "p", base) in
+  let sec base = Plan.MapProp ("s", "section", "p", base) in
+  let doc base = Plan.MapMeth ("d", "document", Restricted.RRef "p", [], base) in
+  let plans =
+    [
+      ("filter", Plan.Filter (Restricted.CGe, Restricted.ORef "n", int 3, num scan_p));
+      ("map meth", doc scan_p);
+      ( "map op",
+        Plan.MapOp
+          ("x", Restricted.OpBin Expr.Add, [ Restricted.ORef "n"; int 1 ], num scan_p) );
+      ( "flat meth",
+        Plan.FlatMeth
+          ("q", "paragraphs", Restricted.RRef "e", [], Plan.FullScan ("e", "Document")) );
+      ( "flat op",
+        Plan.FlatOp ("x", Restricted.OpSet, [ Restricted.ORef "n"; int 7 ], num scan_p) );
+      ( "single-key natural join",
+        Plan.NaturalJoin
+          ( Plan.MapProp ("m", "number", "s", Plan.FullScan ("s", "Section")),
+            sec scan_p ) );
+      ("multi-key natural join", Plan.NaturalJoin (sec scan_p, num (sec scan_p)));
+      ( "diff",
+        Plan.Diff
+          (num scan_p, Plan.Filter (Restricted.CLe, Restricted.ORef "n", int 2, num scan_p))
+      );
+      ("single-column dedup project", Plan.Project ([ "n" ], num scan_p));
+      ("multi-column dedup project", Plan.Project ([ "d"; "n" ], num (doc scan_p)));
+      ("keyed project", Plan.Project ([ "n"; "p" ], num scan_p));
+      ( "dedup chain",
+        Plan.Project
+          ([ "n" ], Plan.Filter (Restricted.CGe, Restricted.ORef "n", int 2, num scan_p)) );
+      ( "multi-column dedup chain",
+        Plan.Project
+          ( [ "d"; "n" ],
+            Plan.Filter (Restricted.CLe, Restricted.ORef "n", int 4, num (doc scan_p)) ) );
+      ( "index scan",
+        Plan.MapProp
+          ( "a", "author", "d",
+            Plan.IndexScan ("d", "Document", "title", Value.Str "Query Optimization") ) );
+      ( "range scan",
+        num
+          (Plan.RangeScan
+             ( "p", "Paragraph", "word_count",
+               Soqm_storage.Sorted_index.Inclusive (Value.Int 0),
+               Soqm_storage.Sorted_index.Unbounded )) );
+      ( "method scan",
+        num
+          (Plan.MethodScan
+             ("p", "Paragraph", "retrieve_by_string", [ Value.Str "Implementation" ])) );
+      ( "hash join",
+        Plan.HashJoin
+          ( "s", "t",
+            sec scan_p,
+            Plan.MapOp
+              ("t", Restricted.OpIdent, [ Restricted.ORef "u" ], Plan.FullScan ("u", "Section"))
+          ) );
+      ("nested loop", Plan.NestedLoop (None, Plan.FullScan ("e", "Document"), sec scan_p));
+      ("union", Plan.Union (num scan_p, num scan_p));
+    ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun fuse ->
+          let compiled = Exec.compile ~fuse xctx plan in
+          let serial =
+            Array.concat (Exec.drain_blocks (Exec.open_compiled xctx compiled))
+          in
+          List.iter
+            (fun jobs ->
+              let par = Exec.eval_parallel xctx ~jobs compiled in
+              check Alcotest.int
+                (Printf.sprintf "%s (fuse=%b, jobs=%d): same row count" name fuse jobs)
+                (Array.length serial) (Array.length par);
+              Array.iteri
+                (fun i row ->
+                  if not (Relation.Row.equal row par.(i)) then
+                    Alcotest.failf "%s (fuse=%b): row %d differs under jobs=%d"
+                      name fuse i jobs)
+                serial)
+            [ 2; 3; 4 ])
+        [ false; true ])
+    plans
+
+(* [effective_jobs] clamps to serial for sub-morsel plans and never
+   exceeds the host's domain count; a clamped run records no morsels,
+   which is what [explain --analyze --jobs N] keys its columns on. *)
+let test_effective_jobs () =
+  let cores = Domain.recommended_domain_count () in
+  let small = Exec.compile (ctx ()) (Plan.FullScan ("d", "Document")) in
+  check Alcotest.bool "tiny extent fits one morsel" true
+    (Object_store.extent_size (store ()) "Document" <= Exec.morsel_size);
+  check Alcotest.int "sub-morsel plan runs serially" 1
+    (Exec.effective_jobs (ctx ()) 4 small);
+  let d =
+    Soqm_core.Db.create
+      ~params:{ Soqm_core.Datagen.default with n_docs = 48 }
+      ()
+  in
+  let xctx = Soqm_core.Engine.exec_ctx d in
+  let big = Exec.compile xctx (Plan.FullScan ("p", "Paragraph")) in
+  List.iter
+    (fun jobs ->
+      let e = Exec.effective_jobs xctx jobs big in
+      check Alcotest.bool
+        (Printf.sprintf "jobs=%d capped at %d core(s)" jobs cores)
+        true
+        (e >= 1 && e <= cores && e <= max 1 jobs))
+    [ 1; 2; 4; 64 ];
+  let plan =
+    Plan.Project
+      ([ "a" ], Plan.MapProp ("a", "author", "d", Plan.FullScan ("d", "Document")))
+  in
+  let compiled = Exec.compile (ctx ()) plan in
+  let stats = Exec.make_stats compiled in
+  ignore (Exec.run_compiled ~stats ~jobs:4 (ctx ()) compiled);
+  Array.iteri
+    (fun cid m ->
+      check Alcotest.int (Printf.sprintf "clamped run: node %d has no morsels" cid) 0 m)
+    stats.Exec.node_morsels
+
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -897,6 +1032,9 @@ let () =
           F.case "analyze stats (parallel)" test_parallel_analyze_stats;
           F.case "tiny build bypass" test_parallel_tiny_build_bypass;
           F.case "join partition stats" test_parallel_join_partition_stats;
+          F.case "row-for-row parity, every operator"
+            test_parallel_row_order_all_ops;
+          F.case "effective_jobs clamps" test_effective_jobs;
         ] );
       ( "cost",
         [
