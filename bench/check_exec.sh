@@ -14,7 +14,9 @@
 # gate alone would let a change slow both executors down in lockstep and
 # still pass; anchoring to the committed absolute number catches that.
 # The check is skipped (with a notice) when the committed file predates
-# the field or does not exist — the run then seeds the baseline.
+# the field or does not exist — the run then seeds the baseline.  The
+# run writes to a temporary file that replaces BENCH_exec.json only once
+# the anchor holds, so a failing run never becomes the next baseline.
 #
 # Pass --seed N (default 42) to regenerate the database from another
 # Datagen seed; the flag is shared by all bench executables.
@@ -29,10 +31,12 @@ fi
 
 dune build
 dune runtest
-dune exec bench/exec.exe -- --assert --docs 800 --json BENCH_exec.json "$@"
+fresh=$(mktemp BENCH_exec.json.XXXXXX)
+trap 'rm -f "$fresh"' EXIT
+dune exec bench/exec.exe -- --assert --docs 800 --json "$fresh" "$@"
 
 current=$(sed -n 's/.*"median_compiled_ns_per_row": *\([0-9.]*\).*/\1/p' \
-  BENCH_exec.json | head -n 1)
+  "$fresh" | head -n 1)
 if [ -z "$baseline" ]; then
   echo "check_exec: no committed median_compiled_ns_per_row; seeded baseline ${current} ns/row"
 elif [ -z "$current" ]; then
@@ -44,7 +48,8 @@ else
   if [ "$ok" -eq 1 ]; then
     echo "check_exec: absolute ns/row ok (${current} vs baseline ${baseline}, bound +10%)"
   else
-    echo "check_exec: FAIL - median compiled ns/row regressed: ${current} vs baseline ${baseline} (bound +10%)" >&2
+    echo "check_exec: FAIL - median compiled ns/row regressed: ${current} vs baseline ${baseline} (bound +10%); BENCH_exec.json left unchanged" >&2
     exit 1
   fi
 fi
+mv "$fresh" BENCH_exec.json

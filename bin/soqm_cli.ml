@@ -194,6 +194,13 @@ let explain_cmd =
       | Error msg -> `Error (false, "cannot optimize: " ^ msg)
       | Ok () ->
         let opt, compiled = Engine.optimize_compiled engine logical in
+        (* [run_compiled] clamps [jobs] (host cores, sub-morsel extents):
+           the morsel columns only mean something when the run really went
+           parallel *)
+        let parallel =
+          Soqm_physical.Exec.effective_jobs (Engine.exec_ctx db) jobs compiled
+          > 1
+        in
         let actuals =
           if analyze then begin
             let ns = Soqm_physical.Exec.make_stats compiled in
@@ -219,8 +226,8 @@ let explain_cmd =
           match actuals with
           | Some ns ->
             let cid = c.Soqm_physical.Plan.cid in
-            let parallel =
-              if jobs > 1 then
+            let morsels =
+              if parallel then
                 Printf.sprintf " morsels=%d parts=%d"
                   ns.Soqm_physical.Exec.node_morsels.(cid)
                   ns.Soqm_physical.Exec.node_partitions.(cid)
@@ -236,7 +243,7 @@ let explain_cmd =
             Printf.sprintf "(%s actual_rows=%d blocks=%d%s%s)" est
               ns.Soqm_physical.Exec.node_rows.(cid)
               ns.Soqm_physical.Exec.node_blocks.(cid)
-              parallel pages
+              morsels pages
           | None -> Printf.sprintf "(%s)" est
         in
         Printf.printf
@@ -264,7 +271,9 @@ let explain_cmd =
      statistics) and the number of steps fused into one-pass kernels \
      ($(b,fused=)); with $(b,--analyze), also the actual rows and blocks \
      observed by executing the plan (plus per-node morsel and partition \
-     counts when $(b,--jobs) is at least 2, and disk pages touched / bytes \
+     counts when the run actually went parallel — $(b,--jobs) of at least 2, \
+     after clamping to the host's cores and falling back to serial when \
+     every scanned extent fits one morsel — and disk pages touched / bytes \
      decoded when run against a paged database, $(b,--db))."
   in
   Cmd.v

@@ -45,15 +45,28 @@ let eval_op op (vs : Value.t list) =
   | Restricted.OpSet, vs -> Value.set vs
   | _ -> error "operator arity mismatch in physical plan"
 
-let memoized1 f =
-  let memo = Hashtbl.create 64 in
-  fun key ->
-    match Hashtbl.find_opt memo key with
-    | Some v -> v
-    | None ->
-      let v = f key in
-      Hashtbl.replace memo key v;
-      v
+let read_prop ctx p rv =
+  try Runtime.access ctx.store rv p with Runtime.Error msg -> error "%s" msg
+
+let call_meth ctx m (rv, avs) =
+  try Runtime.invoke ctx.store rv m avs
+  with Runtime.Error msg -> error "%s" msg
+
+(* Memo tables cache an operator's property reads / method calls by
+   receiver and argument values.  Each operator holds one table per
+   worker: sharing a table across domains would race, so worker [w]
+   only touches [tables.(w)]; serial execution is [jobs = 1].  Rows are
+   unaffected — only a parallel run's call tallies may exceed the serial
+   run's (each worker warms its own table). *)
+let memo_tables ~jobs = Array.init (max 1 jobs) (fun _ -> Hashtbl.create 64)
+
+let memoized tbl f key =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f key in
+    Hashtbl.replace tbl key v;
+    v
 
 (* ------------------------------------------------------------------ *)
 (* Interpreted path: one canonical tuple per next(), names resolved    *)
@@ -131,6 +144,17 @@ module Interpreted = struct
     in
     { next; close = input.close }
 
+  (* memoized property read / method call of a tuple *)
+  let prop_of ctx p a1 =
+    let memo = Hashtbl.create 64 and read = read_prop ctx p in
+    fun tuple -> memoized memo read (operand_value tuple (Restricted.ORef a1))
+
+  let meth_of ctx m recv args =
+    let memo = Hashtbl.create 64 and call = call_meth ctx m in
+    fun tuple ->
+      memoized memo call
+        (receiver_value tuple recv, List.map (operand_value tuple) args)
+
   let rec open_plan ctx (plan : Plan.t) : iter =
     match plan with
     | Plan.Unit -> of_list [ [] ]
@@ -156,10 +180,7 @@ module Interpreted = struct
       | Some oids -> of_list (List.map (fun o -> [ (a, Value.Obj o) ]) oids)
       | None -> error "no ordered index on %s.%s" cls prop)
     | Plan.MethodScan (a, cls, m, args) -> (
-      match
-        try Runtime.invoke ctx.store (Value.Cls cls) m args
-        with Runtime.Error msg -> error "%s" msg
-      with
+      match call_meth ctx m (Value.Cls cls, args) with
       | Value.Set members -> of_list (List.map (fun v -> [ (a, v) ]) members)
       | v ->
         error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
@@ -328,43 +349,13 @@ module Interpreted = struct
       in
       { next; close = left.close }
     | Plan.MapProp (a, p, a1, input) ->
-      let access =
-        memoized1 (fun recv ->
-            try Runtime.access ctx.store recv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      extend ctx a
-        (fun tuple -> access (operand_value tuple (Restricted.ORef a1)))
-        (open_plan ctx input)
+      extend ctx a (prop_of ctx p a1) (open_plan ctx input)
     | Plan.MapMeth (a, m, recv, args, input) ->
-      let call =
-        memoized1 (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      extend ctx a
-        (fun tuple ->
-          call (receiver_value tuple recv, List.map (operand_value tuple) args))
-        (open_plan ctx input)
+      extend ctx a (meth_of ctx m recv args) (open_plan ctx input)
     | Plan.FlatProp (a, p, a1, input) ->
-      let access =
-        memoized1 (fun recv ->
-            try Runtime.access ctx.store recv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      unnest ctx a
-        (fun tuple -> access (operand_value tuple (Restricted.ORef a1)))
-        (open_plan ctx input)
+      unnest ctx a (prop_of ctx p a1) (open_plan ctx input)
     | Plan.FlatMeth (a, m, recv, args, input) ->
-      let call =
-        memoized1 (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      unnest ctx a
-        (fun tuple ->
-          call (receiver_value tuple recv, List.map (operand_value tuple) args))
-        (open_plan ctx input)
+      unnest ctx a (meth_of ctx m recv args) (open_plan ctx input)
     | Plan.MapOp (a, op, xs, input) ->
       extend ctx a
         (fun tuple -> eval_op op (List.map (operand_value tuple) xs))
@@ -565,20 +556,6 @@ module Rowbuf = struct
     if b.n = Array.length b.rows then b.rows else Array.sub b.rows 0 b.n
 end
 
-(* One output row per member of the set [f row], inserted via [ins];
-   shared by the serial flat kernels and the morsel-parallel ones. *)
-let expand_rows ins rows f =
-  let acc = Rowbuf.create () in
-  for i = 0 to Array.length rows - 1 do
-    let row = rows.(i) in
-    match f row with
-    | Value.Set members ->
-      List.iter (fun v -> Rowbuf.push acc (ins row v)) members
-    | Value.Null -> ()
-    | v -> error "flat operator produced non-set %s" (Value.to_string v)
-  done;
-  Rowbuf.contents acc
-
 let slot_getter = function
   | Plan.SSlot i -> fun (row : Value.t array) -> row.(i)
   | Plan.SConst v -> fun _ -> v
@@ -608,23 +585,23 @@ let op_applier op (args : Plan.slot_operand array) : Relation.Row.t -> Value.t =
       with Runtime.Error msg -> error "%s" msg)
   | _ -> fun row -> eval_op op (args_of getters row)
 
+(* A method call per row, receiver and arguments resolved at open time,
+   memoized in worker [w]'s table. *)
+let meth_applier ctx ~jobs m recv args =
+  let memos = memo_tables ~jobs and call = call_meth ctx m in
+  let grecv = receiver_getter recv in
+  let getters = Array.map slot_getter args in
+  fun w (row : Relation.Row.t) ->
+    memoized memos.(w) call (grecv row, args_of getters row)
+
 (* -- fused kernels --------------------------------------------------- *)
-
-(* The serial path memoizes with one shared table per step; the parallel
-   path must not share tables across domains, so each worker gets its
-   own ([per_worker_memo]).  This record abstracts the difference for
-   the shared step compiler below. *)
-type memoizer = { memo : 'a 'b. ('a -> 'b) -> w:int -> 'a -> 'b }
-
-let shared_memo =
-  { memo = (fun f -> let m = memoized1 f in fun ~w:_ key -> m key) }
 
 (* Compile a fused chain's steps into per-row register kernels: each
    step reads/writes the register buffer in place and reports whether
    the row survives (filters short-circuit the rest of the chain).
    Registers are plain [Value.t array]s, so the slot/receiver getters
    apply unchanged. *)
-let fused_steps_of ctx (mk : memoizer) (f : Plan.fused) :
+let fused_steps_of ctx ~jobs (f : Plan.fused) :
     (w:int -> Value.t array -> bool) array =
   Array.map
     (fun (step : Plan.fstep) ->
@@ -643,24 +620,14 @@ let fused_steps_of ctx (mk : memoizer) (f : Plan.fused) :
         | Plan.SConst u, Plan.SConst v ->
           fun ~w:_ _ -> Value.truthy (eval_cmp cmp u v))
       | Plan.FProp (r, p, recv) ->
-        let access =
-          mk.memo (fun rv ->
-              try Runtime.access ctx.store rv p
-              with Runtime.Error msg -> error "%s" msg)
-        in
+        let memos = memo_tables ~jobs and read = read_prop ctx p in
         fun ~w regs ->
-          regs.(r) <- access ~w regs.(recv);
+          regs.(r) <- memoized memos.(w) read regs.(recv);
           true
       | Plan.FMeth (r, m, recv, args) ->
-        let grecv = receiver_getter recv in
-        let getters = Array.map slot_getter args in
-        let call =
-          mk.memo (fun (rv, avs) ->
-              try Runtime.invoke ctx.store rv m avs
-              with Runtime.Error msg -> error "%s" msg)
-        in
+        let call = meth_applier ctx ~jobs m recv args in
         fun ~w regs ->
-          regs.(r) <- call ~w (grecv regs, args_of getters regs);
+          regs.(r) <- call w regs;
           true
       | Plan.FOp (r, op, xs) ->
         (* same direct-indexing specialization for the common arities *)
@@ -751,12 +718,11 @@ let make_seeder ~fin_width ~fregs : Relation.Row.t -> Relation.Row.t =
       Array.blit r 0 s 0 fin_width;
       s
 
-(* Rejection marker for the fused row kernel: the empty-array atom,
-   physically distinct from every register buffer (those are at least
-   the input row's width, and relations never carry zero-width rows).
-   Returning it instead of [None] keeps the surviving-row path free of
-   option boxing. *)
-let fused_rejected : Relation.Row.t = [||]
+(* Rejection marker for the row kernels: one static block, physically
+   distinct from every row a kernel builds or passes through (zero-width
+   rows included).  Returning it instead of [None] keeps the
+   surviving-row path free of option boxing. *)
+let rejected : Relation.Row.t = [| Value.Null |]
 
 (* Top-level, not nested below: a nested [let rec] would capture its
    environment and heap-allocate one closure per row. *)
@@ -784,12 +750,442 @@ let step_runner (steps : (w:int -> Value.t array -> bool) array) :
       && f ~w regs
   | _ -> fun ~w regs -> run_steps steps ~w regs 0 (Array.length steps)
 
-(* One row through the chain: seed registers, run the steps (filters
-   short-circuit), return the register file — the caller reads (or
-   keeps) it before the next row builds a fresh one. *)
-let fused_row run ~seed ~w row =
-  let regs = seed row in
-  if run ~w regs then regs else fused_rejected
+(* -- block kernels --------------------------------------------------- *)
+
+(* A kernel maps one block of input rows to its output rows.  [w] is
+   the calling worker (0 under serial execution) and only selects memo
+   tables, so the serial and parallel drivers below run the very same
+   kernels. *)
+type kernel = w:int -> Relation.Row.t array -> Relation.Row.t array
+
+let pass ~w:_ x = x
+
+(* Keep-subset kernel of filter, diff, fused chains and dedup: [f] maps
+   each row to its output row or to [rejected]. *)
+let keeping f : kernel =
+ fun ~w rows ->
+  let n = Array.length rows in
+  let buf = Array.make n [||] in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let out = f ~w rows.(i) in
+    if out != rejected then begin
+      buf.(!k) <- out;
+      incr k
+    end
+  done;
+  if !k = n then buf else Array.sub buf 0 !k
+
+(* One output row per member of the set [f w row], inserted via [ins]. *)
+let flattening ins f : kernel =
+ fun ~w rows ->
+  let f = f w in
+  let acc = Rowbuf.create () in
+  for i = 0 to Array.length rows - 1 do
+    let row = rows.(i) in
+    match f row with
+    | Value.Set members ->
+      List.iter (fun v -> Rowbuf.push acc (ins row v)) members
+    | Value.Null -> ()
+    | v -> error "flat operator produced non-set %s" (Value.to_string v)
+  done;
+  Rowbuf.contents acc
+
+(* The nested-loop kernel: every pair of a left row of the block and a
+   right row, in left-major order, through [pair]. *)
+let crossing pair (rrows : Relation.Row.t array) : kernel =
+ fun ~w:_ lrows ->
+  let acc = Rowbuf.create () in
+  Array.iter
+    (fun l ->
+      Array.iter
+        (fun r ->
+          let merged = pair l r in
+          if merged != rejected then Rowbuf.push acc merged)
+        rrows)
+    lrows;
+  Rowbuf.contents acc
+
+(* The two key shapes of the hash kernels: one column keyed by the
+   value itself (the generic [Hashtbl]), or several keyed by a row.
+   [hash] also picks a key's build partition. *)
+module type KEYED = sig
+  type key
+  type 'a t
+
+  val create : int -> 'a t
+  val find_opt : 'a t -> key -> 'a option
+  val replace : 'a t -> key -> 'a -> unit
+  val mem : 'a t -> key -> bool
+  val add : 'a t -> key -> 'a -> unit
+  val hash : key -> int
+end
+
+module ValKeys = struct
+  type key = Value.t
+  type 'a t = (key, 'a) Hashtbl.t
+
+  let create n : 'a t = Hashtbl.create n
+  let find_opt = Hashtbl.find_opt
+  let replace = Hashtbl.replace
+  let mem = Hashtbl.mem
+  let add = Hashtbl.add
+  let hash = Hashtbl.hash
+end
+
+module RowKeys = struct
+  include Relation.RowTbl
+
+  let hash = Relation.Row.hash
+end
+
+(* How a materialized build side becomes hash tables: [partition rows
+   hash build] returns one table per partition, each built by [build]
+   from its rows in build-input order.  Serial execution builds one
+   table; the parallel driver partitions large build sides. *)
+type partitioner = {
+  partition :
+    'tbl.
+    Relation.Row.t array ->
+    (Relation.Row.t -> int) ->
+    (Relation.Row.t array -> 'tbl) ->
+    'tbl array;
+}
+
+let one_table = { partition = (fun rows _ build -> [| build rows |]) }
+
+(* Build [rows] into tables keyed by [key], leaving out rows whose key
+   fails [valid]; return the partition count and the probe lookup.
+   Match lists come out in build-input order (reverse iteration +
+   prepend).  A single table is probed directly, so an unpartitioned
+   probe hashes its key once. *)
+let hash_build (type k) (module T : KEYED with type key = k) part
+    ~(key : Relation.Row.t -> k) ~valid rows =
+  let build rows =
+    (* sized to the build side up front: growing a hashtable rehashes
+       every entry, roughly doubling build cost *)
+    let tbl = T.create (max 16 (Array.length rows)) in
+    for i = Array.length rows - 1 downto 0 do
+      let row = rows.(i) in
+      let k = key row in
+      if valid k then
+        T.replace tbl k
+          (row :: (match T.find_opt tbl k with Some prev -> prev | None -> []))
+    done;
+    tbl
+  in
+  let tables = part.partition rows (fun row -> T.hash (key row)) build in
+  let find =
+    match tables with
+    | [| t |] -> fun k -> T.find_opt t k
+    | _ ->
+      let mask = Array.length tables - 1 in
+      fun k -> T.find_opt tables.(T.hash k land mask) k
+  in
+  (Array.length tables, find)
+
+(* The equi- and natural-join kernel: each left row whose key is
+   [valid] merges with its build-side matches in build-input order. *)
+let hash_join (type k) (module T : KEYED with type key = k) ~key_l ~key_r
+    ~valid merge part rrows : int * kernel =
+  let parts, find = hash_build (module T) part ~key:key_r ~valid rrows in
+  let merged_of = make_merger merge in
+  ( parts,
+    fun ~w:_ lrows ->
+      let acc = Rowbuf.create () in
+      for i = 0 to Array.length lrows - 1 do
+        let lrow = lrows.(i) in
+        let k = key_l lrow in
+        if valid k then
+          match find k with
+          | None -> ()
+          | Some matches ->
+            List.iter (fun rrow -> Rowbuf.push acc (merged_of lrow rrow)) matches
+      done;
+      Rowbuf.contents acc )
+
+(* -- operators ------------------------------------------------------- *)
+
+(* What one compiled operator contributes, independent of the driver
+   that runs it (serial block pull or parallel morsel push). *)
+type op =
+  | Leaf : {
+      items : 'a list;
+      row : 'a -> Relation.Row.t;
+      fetch : bool;  (** charge one object fetch per item *)
+    }
+      -> op  (** scans: one row per item *)
+  | Stream : {
+      input : Plan.compiled;
+      charge : bool;  (** outputs count as produced tuples *)
+      run : kernel;
+    }
+      -> op  (** a per-block kernel over the input *)
+  | Probe : {
+      probe : Plan.compiled;
+      build : Plan.compiled;
+      charge : bool;
+      prepare : partitioner -> Relation.Row.t array -> int * kernel;
+          (** materialized build side -> (partitions, probe kernel) *)
+    }
+      -> op  (** joins and diff *)
+  | Dedup : {
+      input : Plan.compiled;
+      fresh : unit -> kernel;  (** a kernel with its own, empty seen table *)
+      merge : Relation.Row.t array -> Relation.Row.t array;
+          (** dedup rows that [fresh] kernels emitted *)
+    }
+      -> op  (** projections and fused chains that drop duplicates *)
+  | Cross : {
+      left : Plan.compiled;
+      right : Plan.compiled;
+      pair : Relation.Row.t -> Relation.Row.t -> Relation.Row.t;
+          (** the merged row, or [rejected] *)
+    }
+      -> op  (** nested loop; the right side is materialized *)
+  | Concat : Plan.compiled * Plan.compiled -> op  (** union *)
+
+(* First-occurrence dedup of the [srcs] columns of each input row — or,
+   with [pre] (a fused chain), of each row [pre] does not reject.
+   Merging kernel outputs in input order keeps exactly the first
+   occurrences one table over the whole input would: the survivors and
+   their order are the serial ones. *)
+let dedup ~input ~pre (srcs : int array) =
+  let first (type k) (module T : KEYED with type key = k) pre
+      ~(key : Relation.Row.t -> k) ~out () =
+    let seen = T.create 256 in
+    let keep r =
+      let k = key r in
+      if T.mem seen k then rejected
+      else begin
+        (* [add], not [replace]: the membership check just ran *)
+        T.add seen k ();
+        out k
+      end
+    in
+    match pre with
+    | None -> keeping (fun ~w:_ row -> keep row)
+    | Some pre ->
+      keeping (fun ~w row ->
+          let r = pre ~w row in
+          if r == rejected then r else keep r)
+  in
+  match srcs with
+  | [| src |] ->
+    (* one column: keyed by the value itself, no per-row key array *)
+    let out v = [| v |] in
+    Dedup
+      {
+        input;
+        fresh = first (module ValKeys) pre ~key:(fun r -> r.(src)) ~out;
+        merge = first (module ValKeys) None ~key:(fun r -> r.(0)) ~out () ~w:0;
+      }
+  | _ ->
+    Dedup
+      {
+        input;
+        fresh = first (module RowKeys) pre ~key:(make_copier srcs) ~out:Fun.id;
+        merge = first (module RowKeys) None ~key:Fun.id ~out:Fun.id () ~w:0;
+      }
+
+(* Open one operator: resolve its kernels (memo tables sized for [jobs]
+   workers) and run its leaf access — extent, index probe, method scan
+   — whose disk traffic lands in [stats]. *)
+let op_of ~stats ctx ~jobs (c : Plan.compiled) : op =
+  let cid = c.Plan.cid in
+  let objects ~fetch oids =
+    Leaf { items = oids; row = (fun o -> [| Value.Obj o |]); fetch }
+  in
+  (* per-row value functions, staged by worker: [f w] is applied once
+     per block, so the per-row calls take one argument *)
+  let prop p recv =
+    let memos = memo_tables ~jobs and read = read_prop ctx p in
+    fun w ->
+      let tbl = memos.(w) in
+      fun (row : Relation.Row.t) -> memoized tbl read row.(recv)
+  in
+  let apply_op o args =
+    let apply = op_applier o args in
+    fun _ -> apply
+  in
+  let inserter at (input : Plan.compiled) =
+    make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
+  in
+  let map at input f =
+    let ins = inserter at input in
+    Stream
+      {
+        input;
+        charge = true;
+        run =
+          (fun ~w rows ->
+            let f = f w in
+            Array.map (fun row -> ins row (f row)) rows);
+      }
+  in
+  let flat at input f =
+    Stream { input; charge = true; run = flattening (inserter at input) f }
+  in
+  let join left right prepare =
+    Probe { probe = left; build = right; charge = true; prepare }
+  in
+  match c.Plan.cop with
+  | Plan.CUnit -> Leaf { items = [ () ]; row = (fun () -> [||]); fetch = false }
+  | Plan.CFullScan cls ->
+    let oids =
+      try Object_store.extent ctx.store cls
+      with Invalid_argument msg -> error "%s" msg
+    in
+    (* an attached disk store drives the scan's traffic model through
+       its buffer pool (charging pool counters) and reports the pages
+       touched and bytes decoded — whole pages for a row-slotted class,
+       chunk metadata for a columnar one *)
+    (match ctx.scan_cost ~cls, stats with
+    | Some (pages, bytes), Some s ->
+      s.node_pages.(cid) <- s.node_pages.(cid) + pages;
+      s.node_bytes.(cid) <- s.node_bytes.(cid) + bytes
+    | _ -> ());
+    objects ~fetch:true oids
+  | Plan.CIndexScan (cls, prop, key) -> (
+    match ctx.probe_index ~cls ~prop key with
+    | Some oids -> objects ~fetch:false oids
+    | None -> error "no index on %s.%s" cls prop)
+  | Plan.CRangeScan (cls, prop, lo, hi) -> (
+    match ctx.probe_range ~cls ~prop ~lo ~hi with
+    | Some oids -> objects ~fetch:false oids
+    | None -> error "no ordered index on %s.%s" cls prop)
+  | Plan.CMethodScan (cls, m, args) -> (
+    match call_meth ctx m (Value.Cls cls, args) with
+    | Value.Set members ->
+      Leaf { items = members; row = (fun v -> [| v |]); fetch = false }
+    | v ->
+      error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
+  | Plan.CFilter (cmp, x, y, input) ->
+    let gx = slot_getter x and gy = slot_getter y in
+    Stream
+      {
+        input;
+        charge = true;
+        run =
+          keeping (fun ~w:_ row ->
+              if Value.truthy (eval_cmp cmp (gx row) (gy row)) then row
+              else rejected);
+      }
+  | Plan.CNestedLoop (pred, merge, left, right) ->
+    let merged_of = make_merger merge in
+    let pair =
+      match pred with
+      | None -> merged_of
+      | Some (cmp, i, j) ->
+        fun l r ->
+          let merged = merged_of l r in
+          if Value.truthy (eval_cmp cmp merged.(i) merged.(j)) then merged
+          else rejected
+    in
+    Cross { left; right; pair }
+  | Plan.CHashJoin (ls, rs, merge, left, right) ->
+    (* Null keys never match (DESIGN.md §7): skipped on build and probe,
+       exactly like the interpreted executor *)
+    join left right
+      (hash_join (module ValKeys)
+         ~key_l:(fun r -> r.(ls))
+         ~key_r:(fun r -> r.(rs))
+         ~valid:(function Value.Null -> false | _ -> true)
+         merge)
+  | Plan.CNaturalJoin ([| il |], [| ir |], merge, left, right) ->
+    (* one shared column: keyed by the value itself (structural match,
+       so Nulls {e do} join — unlike the equi-join above) *)
+    join left right
+      (hash_join (module ValKeys)
+         ~key_l:(fun r -> r.(il))
+         ~key_r:(fun r -> r.(ir))
+         ~valid:(fun _ -> true)
+         merge)
+  | Plan.CNaturalJoin (kl, kr, merge, left, right) ->
+    (* structural match on the shared columns: Nulls {e do} match,
+       mirroring KeyTbl-based natural join / intersection *)
+    join left right
+      (hash_join (module RowKeys) ~key_l:(make_copier kl)
+         ~key_r:(make_copier kr) ~valid:(fun _ -> true) merge)
+  | Plan.CUnion (left, right) -> Concat (left, right)
+  | Plan.CDiff (left, right) ->
+    Probe
+      {
+        probe = left;
+        build = right;
+        charge = false;
+        prepare =
+          (fun part rrows ->
+            (* an empty exclusion set (constant-false restrictions are a
+               common rewriting residue) makes diff a pass-through,
+               skipping the per-row hash entirely *)
+            if Array.length rrows = 0 then (0, pass)
+            else
+              let parts, find =
+                hash_build (module RowKeys) part ~key:Fun.id
+                  ~valid:(fun _ -> true)
+                  rrows
+              in
+              ( parts,
+                keeping (fun ~w:_ row ->
+                    if Option.is_none (find row) then row else rejected) ));
+      }
+  | Plan.CMapProp (at, p, recv, input) -> map at input (prop p recv)
+  | Plan.CMapMeth (at, m, recv, args, input) ->
+    map at input (meth_applier ctx ~jobs m recv args)
+  | Plan.CMapOp (at, o, args, input) -> map at input (apply_op o args)
+  | Plan.CFlatProp (at, p, recv, input) -> flat at input (prop p recv)
+  | Plan.CFlatMeth (at, m, recv, args, input) ->
+    flat at input (meth_applier ctx ~jobs m recv args)
+  | Plan.CFlatOp (at, o, args, input) -> flat at input (apply_op o args)
+  | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
+    (* the kept slots cover a key of the input, so rows are already
+       distinct: copy-out only, no dedup table (DESIGN.md §9) *)
+    let proj = make_copier srcs in
+    Stream { input; charge = true; run = (fun ~w:_ rows -> Array.map proj rows) }
+  | Plan.CProject (srcs, input) -> dedup ~input ~pre:None srcs
+  | Plan.CFused (f, input) ->
+    let run = step_runner (fused_steps_of ctx ~jobs f) in
+    let seed = make_seeder ~fin_width:f.Plan.fin_width ~fregs:f.Plan.fregs in
+    (* one row through the chain: a fresh register file (see
+       [make_seeder]), steps run until a filter rejects *)
+    if f.Plan.fdedup && not f.Plan.fkeyed then
+      dedup ~input
+        ~pre:
+          (Some
+             (fun ~w row ->
+               let r = seed row in
+               if run ~w r then r else rejected))
+        f.Plan.fout
+    else begin
+      (* when the output is the whole register file it is emitted as-is:
+         one allocation per surviving row *)
+      let out_of =
+        if fused_out_is_regs f then Fun.id else make_copier f.Plan.fout
+      in
+      Stream
+        {
+          input;
+          charge = true;
+          run =
+            keeping (fun ~w row ->
+                let r = seed row in
+                if run ~w r then out_of r else rejected);
+        }
+    end
+
+let drain_blocks b =
+  let rec go acc =
+    match b.next_block () with None -> acc | Some rows -> go (rows :: acc)
+  in
+  let blocks = List.rev (go []) in
+  b.close_blocks ();
+  blocks
+
+(* ------------------------------------------------------------------ *)
+(* Serial driver: a pull-based block iterator per operator, every      *)
+(* kernel called with [w = 0].                                         *)
+(* ------------------------------------------------------------------ *)
 
 let open_compiled ?stats ctx (root : Plan.compiled) : biter =
   let cnt = counters ctx in
@@ -805,55 +1201,38 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
     | None -> ());
     Some rows
   in
-  (* Emit single-column blocks straight off a scan's result list — the
-     extent is never materialized as one big (major-heap) array. *)
-  let scan_blocks ?(charge = false) cid f xs =
-    let remaining = ref xs in
+  (* Emit blocks straight off a leaf's item list — the extent is never
+     materialized as one big (major-heap) array. *)
+  let scan_blocks cid ~fetch row items =
+    let remaining = ref items in
     let next_block () =
       match !remaining with
       | [] -> None
-      | xs ->
+      | items ->
         let buf = Array.make block_size [||] in
         let k = ref 0 in
-        let rec take xs =
-          if !k = block_size then xs
+        let rec take items =
+          if !k = block_size then items
           else
-            match xs with
+            match items with
             | [] -> []
             | x :: rest ->
-              if charge then Counters.charge_object_fetch cnt;
-              buf.(!k) <- [| f x |];
+              if fetch then Counters.charge_object_fetch cnt;
+              buf.(!k) <- row x;
               incr k;
               take rest
         in
-        remaining := take xs;
+        remaining := take items;
         let out = if !k = block_size then buf else Array.sub buf 0 !k in
         record cid out
     in
     { next_block; close_blocks = (fun () -> remaining := []) }
   in
-  (* Chunk a fully materialized row array into blocks. *)
-  let of_rows cid (rows : Relation.Row.t array) =
-    let n = Array.length rows in
-    let pos = ref 0 in
-    {
-      next_block =
-        (fun () ->
-          if !pos >= n then None
-          else begin
-            let k = min block_size (n - !pos) in
-            let out = Array.sub rows !pos k in
-            pos := !pos + k;
-            record cid out
-          end);
-      close_blocks = (fun () -> pos := n);
-    }
-  in
-  (* Pull input blocks, expand each into an output row array, re-chunk
+  (* Pull input blocks, run each through [run], re-chunk the output
      into blocks of at most [block_size].  [charge] marks operators
      whose outputs count as produced tuples (parity with the
      interpreted executor's accounting). *)
-  let expanding ~charge cid input expand =
+  let expanding ~charge cid input (run : kernel) =
     let pending = ref [||] in
     let pos = ref 0 in
     let rec next_block () =
@@ -879,107 +1258,30 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
         match input.next_block () with
         | None -> None
         | Some rows ->
-          pending := expand rows;
+          pending := run ~w:0 rows;
           pos := 0;
           next_block ()
     in
     { next_block; close_blocks = input.close_blocks }
   in
-  let drain_rows b =
-    let rec go acc =
-      match b.next_block () with None -> acc | Some rows -> go (rows :: acc)
-    in
-    let blocks = List.rev (go []) in
-    b.close_blocks ();
-    Array.concat blocks
-  in
-  (* Keep-subset kernel shared by filter/diff/project: [keep] decides
-     per row (and may transform it). *)
-  let filtering ~charge cid input keep =
-    expanding ~charge cid input (fun rows ->
-        let n = Array.length rows in
-        let buf = Array.make n [||] in
-        let k = ref 0 in
-        for i = 0 to n - 1 do
-          match keep rows.(i) with
-          | Some row ->
-            buf.(!k) <- row;
-            incr k
-          | None -> ()
-        done;
-        if !k = n then buf else Array.sub buf 0 !k)
-  in
-  (* Pure-predicate variant of [filtering]: rows pass unchanged, so no
-     per-row [Some] allocation. *)
-  let selecting ~charge cid input pred =
-    expanding ~charge cid input (fun rows ->
-        let n = Array.length rows in
-        let buf = Array.make n [||] in
-        let k = ref 0 in
-        for i = 0 to n - 1 do
-          let row = rows.(i) in
-          if pred row then begin
-            buf.(!k) <- row;
-            incr k
-          end
-        done;
-        if !k = n then buf else Array.sub buf 0 !k)
-  in
   let rec go (c : Plan.compiled) : biter =
     let cid = c.Plan.cid in
-    match c.Plan.cop with
-    | Plan.CUnit -> of_rows cid [| [||] |]
-    | Plan.CFullScan cls ->
-      let oids =
-        try Object_store.extent ctx.store cls
-        with Invalid_argument msg -> error "%s" msg
+    match op_of ~stats ctx ~jobs:1 c with
+    | Leaf { items; row; fetch } -> scan_blocks cid ~fetch row items
+    | Stream { input; charge; run } -> expanding ~charge cid (go input) run
+    | Dedup { input; fresh; _ } -> expanding ~charge:true cid (go input) (fresh ())
+    | Probe { probe; build; charge; prepare } ->
+      (* the build side is drained when the first probe block arrives *)
+      let input = go probe in
+      let run =
+        lazy (snd (prepare one_table (Array.concat (drain_blocks (go build)))))
       in
-      (* an attached disk store drives the scan's traffic model through
-         its buffer pool (charging pool counters) and reports the pages
-         touched and bytes decoded — whole pages for a row-slotted
-         class, chunk metadata for a columnar one *)
-      (match ctx.scan_cost ~cls with
-      | Some (pages, bytes) -> (
-        match stats with
-        | Some s ->
-          s.node_pages.(cid) <- s.node_pages.(cid) + pages;
-          s.node_bytes.(cid) <- s.node_bytes.(cid) + bytes
-        | None -> ())
-      | None -> ());
-      scan_blocks ~charge:true cid (fun o -> Value.Obj o) oids
-    | Plan.CIndexScan (cls, prop, key) -> (
-      match ctx.probe_index ~cls ~prop key with
-      | Some oids -> scan_blocks cid (fun o -> Value.Obj o) oids
-      | None -> error "no index on %s.%s" cls prop)
-    | Plan.CRangeScan (cls, prop, lo, hi) -> (
-      match ctx.probe_range ~cls ~prop ~lo ~hi with
-      | Some oids -> scan_blocks cid (fun o -> Value.Obj o) oids
-      | None -> error "no ordered index on %s.%s" cls prop)
-    | Plan.CMethodScan (cls, m, args) -> (
-      match
-        try Runtime.invoke ctx.store (Value.Cls cls) m args
-        with Runtime.Error msg -> error "%s" msg
-      with
-      | Value.Set members -> scan_blocks cid Fun.id members
-      | v ->
-        error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
-    | Plan.CFilter (cmp, x, y, input) ->
-      let gx = slot_getter x and gy = slot_getter y in
-      selecting ~charge:true cid (go input) (fun row ->
-          Value.truthy (eval_cmp cmp (gx row) (gy row)))
-    | Plan.CNestedLoop (pred, merge, left, right) ->
+      expanding ~charge cid input (fun ~w rows -> (Lazy.force run) ~w rows)
+    | Cross { left; right; pair } ->
       (* Direct block producer: a [block_size] output buffer is filled
-         from the (left row, right row) cursor pair — no intermediate
-         per-left-block materialization of the cross product. *)
-      let right_rows = lazy (drain_rows (go right)) in
-      let merged_of = make_merger merge in
-      let keep =
-        match pred with
-        | None -> fun _ -> true
-        | Some (cmp, i, j) ->
-          fun (merged : Value.t array) ->
-            Value.truthy (eval_cmp cmp merged.(i) merged.(j))
-      in
+         from the (left row, right row) cursor pair — no per-left-block
+         materialization of the cross product. *)
+      let right_rows = lazy (Array.concat (drain_blocks (go right))) in
       let left = go left in
       let lrows = ref [||] in
       let li = ref 0 in
@@ -1008,9 +1310,9 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
               fill ()
             end
             else begin
-              let merged = merged_of (!lrows).(!li) rrows.(!ri) in
+              let merged = pair (!lrows).(!li) rrows.(!ri) in
               incr ri;
-              if keep merged then begin
+              if merged != rejected then begin
                 buf.(!k) <- merged;
                 incr k
               end;
@@ -1027,114 +1329,7 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
         end
       in
       { next_block; close_blocks = left.close_blocks }
-    | Plan.CHashJoin (ls, rs, merge, left, right) ->
-      (* Null keys never match (DESIGN.md §7): skipped on build and
-         probe, exactly like the interpreted executor. *)
-      let merged_of = make_merger merge in
-      (* build side bucketed once (match lists in right-input order), so
-         a probe is one lookup — no [find_all] list allocation *)
-      let table =
-        lazy
-          (let rrows = drain_rows (go right) in
-           (* sized to the build side up front: growing a hashtable
-              rehashes every entry, roughly doubling build cost *)
-           let tbl = Hashtbl.create (max 16 (Array.length rrows)) in
-           for ri = Array.length rrows - 1 downto 0 do
-             let rrow = rrows.(ri) in
-             match rrow.(rs) with
-             | Value.Null -> ()
-             | key ->
-               Hashtbl.replace tbl key
-                 (rrow
-                 ::
-                 (match Hashtbl.find_opt tbl key with
-                 | Some prev -> prev
-                 | None -> []))
-           done;
-           tbl)
-      in
-      expanding ~charge:true cid (go left) (fun lrows ->
-          let tbl = Lazy.force table in
-          let acc = Rowbuf.create () in
-          for li = 0 to Array.length lrows - 1 do
-            let lrow = lrows.(li) in
-            match lrow.(ls) with
-            | Value.Null -> ()
-            | key -> (
-              match Hashtbl.find_opt tbl key with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                  matches)
-          done;
-          Rowbuf.contents acc)
-    | Plan.CNaturalJoin ([| il |], [| ir |], merge, left, right) ->
-      (* one shared column: key by the value itself (structural match,
-         so Nulls {e do} join — unlike the equi-join above) *)
-      let merged_of = make_merger merge in
-      let table =
-        lazy
-          (let rrows = drain_rows (go right) in
-           let tbl = Hashtbl.create (max 16 (Array.length rrows)) in
-           for ri = Array.length rrows - 1 downto 0 do
-             let rrow = rrows.(ri) in
-             let key = rrow.(ir) in
-             Hashtbl.replace tbl key
-               (rrow
-               ::
-               (match Hashtbl.find_opt tbl key with
-               | Some prev -> prev
-               | None -> []))
-           done;
-           tbl)
-      in
-      expanding ~charge:true cid (go left) (fun lrows ->
-          let tbl = Lazy.force table in
-          let acc = Rowbuf.create () in
-          for li = 0 to Array.length lrows - 1 do
-            let lrow = lrows.(li) in
-            match Hashtbl.find_opt tbl lrow.(il) with
-            | None -> ()
-            | Some matches ->
-              List.iter
-                (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                matches
-          done;
-          Rowbuf.contents acc)
-    | Plan.CNaturalJoin (kl, kr, merge, left, right) ->
-      (* structural match on the shared columns: Nulls {e do} match,
-         mirroring KeyTbl-based natural join / intersection. *)
-      let merged_of = make_merger merge in
-      let key_l = make_copier kl in
-      let key_r = make_copier kr in
-      let table =
-        lazy
-          (let rrows = drain_rows (go right) in
-           let tbl = Relation.RowTbl.create (max 16 (Array.length rrows)) in
-           Array.iter
-             (fun rrow ->
-               let key = key_r rrow in
-               match Relation.RowTbl.find_opt tbl key with
-               | Some prev -> Relation.RowTbl.replace tbl key (rrow :: prev)
-               | None -> Relation.RowTbl.add tbl key [ rrow ])
-             rrows;
-           tbl)
-      in
-      expanding ~charge:true cid (go left) (fun lrows ->
-          let tbl = Lazy.force table in
-          let acc = Rowbuf.create () in
-          for li = 0 to Array.length lrows - 1 do
-            let lrow = lrows.(li) in
-            match Relation.RowTbl.find_opt tbl (key_l lrow) with
-            | None -> ()
-            | Some matches ->
-              List.iter
-                (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                matches
-          done;
-          Rowbuf.contents acc)
-    | Plan.CUnion (left, right) ->
+    | Concat (left, right) ->
       let left = go left in
       let right = lazy (go right) in
       let on_right = ref false in
@@ -1157,178 +1352,22 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
             left.close_blocks ();
             if Lazy.is_val right then (Lazy.force right).close_blocks ());
       }
-    | Plan.CDiff (left, right) ->
-      (* the probe is decided once the exclusion side is drained: an
-         empty exclusion set (constant-false restrictions are a common
-         rewriting residue) makes diff a pass-through, skipping the
-         per-row hash entirely *)
-      let pred =
-        lazy
-          (let rrows = drain_rows (go right) in
-           if Array.length rrows = 0 then fun _ -> true
-           else begin
-             let tbl = Relation.RowTbl.create (Array.length rrows) in
-             Array.iter (fun row -> Relation.RowTbl.replace tbl row ()) rrows;
-             fun row -> not (Relation.RowTbl.mem tbl row)
-           end)
-      in
-      selecting ~charge:false cid (go left) (fun row -> (Lazy.force pred) row)
-    | Plan.CMapProp (at, p, recv, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let access =
-        memoized1 (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input)
-        (Array.map (fun row -> ins row (access row.(recv))))
-    | Plan.CMapMeth (at, m, recv, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        memoized1 (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input)
-        (Array.map (fun row -> ins row (call (grecv row, args_of getters row))))
-    | Plan.CMapOp (at, op, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let apply = op_applier op args in
-      expanding ~charge:true cid (go input)
-        (Array.map (fun row -> ins row (apply row)))
-    | Plan.CFlatProp (at, p, recv, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let access =
-        memoized1 (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input) (fun rows ->
-          expand_rows ins rows (fun row -> access row.(recv)))
-    | Plan.CFlatMeth (at, m, recv, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        memoized1 (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input) (fun rows ->
-          expand_rows ins rows (fun row -> call (grecv row, args_of getters row)))
-    | Plan.CFlatOp (at, op, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let apply = op_applier op args in
-      expanding ~charge:true cid (go input) (fun rows ->
-          expand_rows ins rows apply)
-    | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
-      (* the kept slots cover a key of the input, so rows are already
-         distinct: copy-out only, no dedup table (DESIGN.md §9) *)
-      let proj = make_copier srcs in
-      expanding ~charge:true cid (go input) (fun rows -> Array.map proj rows)
-    | Plan.CProject ([| i |], input) ->
-      (* single-column projection: dedup keyed by the value itself, no
-         per-row key array *)
-      let seen = Hashtbl.create 256 in
-      filtering ~charge:true cid (go input) (fun row ->
-          let v = row.(i) in
-          if Hashtbl.mem seen v then None
-          else begin
-            (* [add], not [replace]: the membership check just ran, so
-               the cheaper no-search insert is safe *)
-            Hashtbl.add seen v ();
-            Some [| v |]
-          end)
-    | Plan.CProject (srcs, input) ->
-      let proj = make_copier srcs in
-      let seen = Relation.RowTbl.create 256 in
-      filtering ~charge:true cid (go input) (fun row ->
-          let projected = proj row in
-          if Relation.RowTbl.mem seen projected then None
-          else begin
-            Relation.RowTbl.add seen projected ();
-            Some projected
-          end)
-    | Plan.CFused (f, input) ->
-      let run = step_runner (fused_steps_of ctx shared_memo f) in
-      let seed = make_seeder ~fin_width:f.Plan.fin_width ~fregs:f.Plan.fregs in
-      let eval_regs row = fused_row run ~seed ~w:0 row in
-      if f.Plan.fdedup && not f.Plan.fkeyed then
-        (* dedup mirrors the standalone projection kernels: values keyed
-           directly when one column survives, RowTbl otherwise *)
-        (match f.Plan.fout with
-        | [| src |] ->
-          let seen = Hashtbl.create 256 in
-          filtering ~charge:true cid (go input) (fun row ->
-              let regs = eval_regs row in
-              if regs == fused_rejected then None
-              else
-                let v = regs.(src) in
-                if Hashtbl.mem seen v then None
-                else begin
-                  Hashtbl.add seen v ();
-                  Some [| v |]
-                end)
-        | srcs ->
-          let proj = make_copier srcs in
-          let seen = Relation.RowTbl.create 256 in
-          filtering ~charge:true cid (go input) (fun row ->
-              let regs = eval_regs row in
-              if regs == fused_rejected then None
-              else
-                let projected = proj regs in
-                if Relation.RowTbl.mem seen projected then None
-                else begin
-                  Relation.RowTbl.add seen projected ();
-                  Some projected
-                end))
-      else begin
-        (* non-dedup: the register file is fresh per row, so when the
-           output is the whole file it is emitted as-is — one allocation
-           per surviving row, no option boxing anywhere *)
-        let out_of =
-          if fused_out_is_regs f then Fun.id else make_copier f.Plan.fout
-        in
-        expanding ~charge:true cid (go input) (fun rows ->
-            let n = Array.length rows in
-            let buf = Array.make n [||] in
-            let k = ref 0 in
-            for i = 0 to n - 1 do
-              let regs = eval_regs rows.(i) in
-              if regs != fused_rejected then begin
-                buf.(!k) <- out_of regs;
-                incr k
-              end
-            done;
-            if !k = n then buf else Array.sub buf 0 !k)
-      end
   in
   go root
 
-let drain_blocks b =
-  let rec go acc =
-    match b.next_block () with None -> acc | Some rows -> go (rows :: acc)
-  in
-  let blocks = List.rev (go []) in
-  b.close_blocks ();
-  blocks
-
 (* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel path: every operator materializes its output *)
-(* as one row array; workers claim fixed-size morsels of the input via *)
-(* an atomic cursor and write their results into morsel-indexed slots, *)
-(* so the concatenated output is row-for-row identical to a serial     *)
-(* left-to-right pass no matter which worker ran which morsel.  Joins  *)
-(* and diff partition the build side by key hash and build one table   *)
-(* per partition (each preserving build-input order), so probes are    *)
-(* lock-free reads of tables published by the pool's join barrier.     *)
+(* Parallel driver: morsel pipelines.  A pipeline is a leaf's morsels  *)
+(* pushed through the kernels of the streaming operators above it;     *)
+(* workers claim morsels via an atomic cursor and write each output    *)
+(* into its morsel's slot, so the concatenated output is row-for-row   *)
+(* the serial one no matter which worker ran which morsel.  Only three *)
+(* pieces are parallel-specific: partitioned build tables, per-morsel  *)
+(* dedup merged in morsel order, and the morsel-order concatenation.   *)
 (* ------------------------------------------------------------------ *)
 
 (* 1024 rows per morsel: big enough that the atomic cursor and the
    per-morsel allocations are noise next to the kernel work (a morsel is
-   8 blocks of the serial executor's dispatch unit), small enough that a
+   8 blocks of the serial driver's dispatch unit), small enough that a
    3200-document scan still splits into enough morsels to keep four
    workers busy and to absorb skew from expensive rows (method calls). *)
 let morsel_size = 1024
@@ -1340,25 +1379,35 @@ let partition_count jobs =
   let rec go p = if p >= jobs then p else go (2 * p) in
   go 1
 
+(* [morsels] work units; [run ~w i] computes morsel [i]'s output rows on
+   worker [w]. *)
+type pipeline = { morsels : int; run : w:int -> int -> Relation.Row.t array }
+
 let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
     Relation.Row.t array =
   let pool = Pool.global () in
   let cnt = counters ctx in
   let nparts = partition_count jobs in
   let morsels_of n = (n + morsel_size - 1) / morsel_size in
-  (* Block accounting mirrors the serial executor: an operator's
-     materialized output counts as ceil(n / block_size) blocks. *)
-  let record cid ~morsels ~partitions (rows : Relation.Row.t array) =
+  (* Workers record actuals into private sinks (plain int arrays must
+     not be shared), folded into [stats] once the root has drained. *)
+  let local =
+    match stats with
+    | Some _ -> Array.init (max 1 jobs) (fun _ -> make_stats root)
+    | None -> [||]
+  in
+  (* Block accounting mirrors the serial driver: [n] output rows count
+     as ceil(n / block_size) blocks. *)
+  let record ~w cid ~morsels (rows : Relation.Row.t array) =
     let n = Array.length rows in
     let blocks = (n + block_size - 1) / block_size in
     Counters.charge_blocks cnt blocks;
-    (match stats with
-    | Some s ->
+    if Array.length local > 0 then begin
+      let s = local.(w) in
       s.node_rows.(cid) <- s.node_rows.(cid) + n;
       s.node_blocks.(cid) <- s.node_blocks.(cid) + blocks;
-      s.node_morsels.(cid) <- s.node_morsels.(cid) + morsels;
-      s.node_partitions.(cid) <- s.node_partitions.(cid) + partitions
-    | None -> ());
+      s.node_morsels.(cid) <- s.node_morsels.(cid) + morsels
+    end;
     rows
   in
   (* Hand task ids [0, m) to the pool's workers via an atomic cursor. *)
@@ -1377,650 +1426,113 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
           claim ())
     end
   in
-  (* Morsel-parallel map over index range [0, n): each morsel's output
-     lands in its own slot and the slots are concatenated in morsel
-     order (the determinism argument, DESIGN.md §10). *)
-  let chunked n (f : w:int -> lo:int -> hi:int -> Relation.Row.t array) =
-    let m = morsels_of n in
-    if m = 0 then [||]
-    else if m = 1 then f ~w:0 ~lo:0 ~hi:n
-    else begin
-      let out = Array.make m [||] in
-      parallel_for m (fun ~w i ->
+  (* Run every morsel of [p]; outputs concatenate in morsel order (the
+     determinism argument, DESIGN.md §10). *)
+  let drain p =
+    let out = Array.make p.morsels [||] in
+    parallel_for p.morsels (fun ~w i -> out.(i) <- p.run ~w i);
+    Array.concat (Array.to_list out)
+  in
+  let source items row =
+    let n = Array.length items in
+    {
+      morsels = morsels_of n;
+      run =
+        (fun ~w:_ i ->
           let lo = i * morsel_size in
-          out.(i) <- f ~w ~lo ~hi:(min n (lo + morsel_size)));
-      Array.concat (Array.to_list out)
-    end
+          Array.init (min morsel_size (n - lo)) (fun j -> row items.(lo + j)));
+    }
   in
-  (* 1:1 kernels write straight into a preallocated output array. *)
-  let mapped rows (f : w:int -> Relation.Row.t -> Relation.Row.t) =
-    let n = Array.length rows in
-    let out = Array.make n [||] in
-    parallel_for (morsels_of n) (fun ~w i ->
-        let lo = i * morsel_size in
-        let hi = min n (lo + morsel_size) in
-        for j = lo to hi - 1 do
-          out.(j) <- f ~w rows.(j)
-        done);
-    out
+  let stage cid ~charge p (run : kernel) =
+    {
+      p with
+      run =
+        (fun ~w i ->
+          let rows = run ~w (p.run ~w i) in
+          if charge then Counters.charge_tuples cnt (Array.length rows);
+          record ~w cid ~morsels:1 rows);
+    }
   in
-  (* The serial kernels share one memo table per operator; across
-     domains that would race, so each worker memoizes privately.  The
-     result rows are unaffected — only the property-read / method-call
-     tallies may exceed the serial run's (each worker warms its own
-     cache). *)
-  let per_worker_memo : 'a 'b. ('a -> 'b) -> w:int -> 'a -> 'b =
-   fun f ->
-    let memos = Array.init (max 1 jobs) (fun _ -> Hashtbl.create 64) in
-    fun ~w key ->
-      let memo = memos.(w) in
-      match Hashtbl.find_opt memo key with
-      | Some v -> v
-      | None ->
-        let v = f key in
-        Hashtbl.replace memo key v;
-        v
+  (* Ordered two-phase partitioning: phase A buckets each build morsel
+     into [nparts] buffers; phase B concatenates partition [p]'s buckets
+     in morsel order — recovering build-input order — and builds its
+     table, one worker per partition.  The pool's joins publish the
+     buckets to phase B and the tables to the probes.  A build side
+     within one morsel gets one table, built on the caller. *)
+  let partitioner =
+    {
+      partition =
+        (fun rows hash build ->
+          let n = Array.length rows in
+          if nparts = 1 || n <= morsel_size then [| build rows |]
+          else begin
+            let m = morsels_of n in
+            let buckets = Array.make m [||] in
+            parallel_for m (fun ~w:_ i ->
+                let bufs = Array.init nparts (fun _ -> Rowbuf.create ()) in
+                for j = i * morsel_size to min n ((i + 1) * morsel_size) - 1 do
+                  Rowbuf.push bufs.(hash rows.(j) land (nparts - 1)) rows.(j)
+                done;
+                buckets.(i) <- Array.map Rowbuf.contents bufs);
+            let tables = Array.make nparts None in
+            parallel_for nparts (fun ~w:_ p ->
+                tables.(p) <-
+                  Some (build (Array.concat (List.init m (fun i -> buckets.(i).(p))))));
+            Array.map Option.get tables
+          end);
+    }
   in
-  (* Ordered two-phase partitioning of a materialized build side.
-     Phase A buckets each morsel into [nparts] per-morsel row buffers
-     (morsel order preserved inside each bucket); phase B concatenates
-     partition [p]'s buckets in morsel order — recovering build-input
-     order — and folds them into that partition's table, one worker per
-     partition.  The pool join between the phases publishes the
-     buckets; the join after phase B publishes the tables to probes. *)
-  let partitioned :
-      'tbl.
-      Relation.Row.t array ->
-      (Relation.Row.t -> int option) ->
-      (Relation.Row.t array -> 'tbl) ->
-      'tbl array =
-   fun rows part_of build ->
-    let n = Array.length rows in
-    if nparts = 1 || n <= morsel_size then begin
-      (* build side under one morsel: a single shared table built on the
-         caller — the two-phase bucket/build machinery would cost more
-         than it parallelizes (ROADMAP "partition skew").  [part_of]
-         still filters (Null join keys must not enter the table); probe
-         sites mask the partition index against the table count, which
-         collapses to 0 here. *)
-      let keep = Rowbuf.create () in
-      Array.iter
-        (fun row ->
-          match part_of row with Some _ -> Rowbuf.push keep row | None -> ())
-        rows;
-      [| build (Rowbuf.contents keep) |]
-    end
-    else begin
-    let m = morsels_of n in
-    let buckets = Array.make (max 1 m) [||] in
-    parallel_for m (fun ~w:_ i ->
-        let lo = i * morsel_size in
-        let hi = min n (lo + morsel_size) in
-        let bufs = Array.init nparts (fun _ -> Rowbuf.create ()) in
-        for j = lo to hi - 1 do
-          let row = rows.(j) in
-          match part_of row with
-          | Some p -> Rowbuf.push bufs.(p) row
-          | None -> ()
-        done;
-        buckets.(i) <- Array.map Rowbuf.contents bufs);
-    let tables = Array.make nparts None in
-    parallel_for nparts (fun ~w:_ p ->
-        let parts = Array.init m (fun i -> buckets.(i).(p)) in
-        tables.(p) <- Some (build (Array.concat (Array.to_list parts))));
-    Array.map Option.get tables
-    end
-  in
-  let scan_rows cid oids =
-    let oids = Array.of_list oids in
-    let n = Array.length oids in
-    let rows =
-      chunked n (fun ~w:_ ~lo ~hi ->
-          Array.init (hi - lo) (fun i -> [| Value.Obj oids.(lo + i) |]))
-    in
-    record cid ~morsels:(morsels_of n) ~partitions:0 rows
-  in
-  let rec eval (c : Plan.compiled) : Relation.Row.t array =
+  let rec pipeline (c : Plan.compiled) : pipeline =
     let cid = c.Plan.cid in
-    match c.Plan.cop with
-    | Plan.CUnit -> record cid ~morsels:0 ~partitions:0 [| [||] |]
-    | Plan.CFullScan cls ->
-      let oids =
-        try Object_store.extent ctx.store cls
-        with Invalid_argument msg -> error "%s" msg
-      in
-      Counters.charge_object_fetches cnt (List.length oids);
-      (match ctx.scan_cost ~cls with
-      | Some (pages, bytes) -> (
-        match stats with
-        | Some s ->
-          s.node_pages.(cid) <- s.node_pages.(cid) + pages;
-          s.node_bytes.(cid) <- s.node_bytes.(cid) + bytes
-        | None -> ())
-      | None -> ());
-      scan_rows cid oids
-    | Plan.CIndexScan (cls, prop, key) -> (
-      match ctx.probe_index ~cls ~prop key with
-      | Some oids -> scan_rows cid oids
-      | None -> error "no index on %s.%s" cls prop)
-    | Plan.CRangeScan (cls, prop, lo, hi) -> (
-      match ctx.probe_range ~cls ~prop ~lo ~hi with
-      | Some oids -> scan_rows cid oids
-      | None -> error "no ordered index on %s.%s" cls prop)
-    | Plan.CMethodScan (cls, m, args) -> (
-      match
-        try Runtime.invoke ctx.store (Value.Cls cls) m args
-        with Runtime.Error msg -> error "%s" msg
-      with
-      | Value.Set members ->
-        let members = Array.of_list members in
-        let n = Array.length members in
-        let rows =
-          chunked n (fun ~w:_ ~lo ~hi ->
-              Array.init (hi - lo) (fun i -> [| members.(lo + i) |]))
-        in
-        record cid ~morsels:(morsels_of n) ~partitions:0 rows
-      | v ->
-        error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
-    | Plan.CFilter (cmp, x, y, input) ->
-      let gx = slot_getter x and gy = slot_getter y in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let buf = Array.make (hi - lo) [||] in
-            let k = ref 0 in
-            for i = lo to hi - 1 do
-              let row = rows.(i) in
-              if Value.truthy (eval_cmp cmp (gx row) (gy row)) then begin
-                buf.(!k) <- row;
-                incr k
-              end
-            done;
-            if !k = hi - lo then buf else Array.sub buf 0 !k)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CNestedLoop (pred, merge, left, right) ->
-      let merged_of = make_merger merge in
-      let keep =
-        match pred with
-        | None -> fun _ -> true
-        | Some (cmp, i, j) ->
-          fun (merged : Value.t array) ->
-            Value.truthy (eval_cmp cmp merged.(i) merged.(j))
-      in
-      let rrows = eval right in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              for j = 0 to Array.length rrows - 1 do
-                let merged = merged_of lrow rrows.(j) in
-                if keep merged then Rowbuf.push acc merged
-              done
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CHashJoin (ls, rs, merge, left, right) ->
-      (* Null keys never match (DESIGN.md §7): dropped while bucketing
-         the build side, skipped on probe. *)
-      let merged_of = make_merger merge in
-      let part_of_key key = Hashtbl.hash key land (nparts - 1) in
-      let rrows = eval right in
-      let tables =
-        partitioned rrows
-          (fun row ->
-            match row.(rs) with
-            | Value.Null -> None
-            | key -> Some (part_of_key key))
-          (fun rows ->
-            let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-            (* reverse iteration + prepend: match lists come out in
-               build-input order, same as the serial executor *)
-            for i = Array.length rows - 1 downto 0 do
-              let rrow = rows.(i) in
-              let key = rrow.(rs) in
-              Hashtbl.replace tbl key
-                (rrow
-                ::
-                (match Hashtbl.find_opt tbl key with
-                | Some prev -> prev
-                | None -> []))
-            done;
-            tbl)
-      in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      (* [tables] may have collapsed to a single shared table (tiny build
-         side); masking against its actual length covers both shapes *)
-      let pmask = Array.length tables - 1 in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              match lrow.(ls) with
-              | Value.Null -> ()
-              | key -> (
-                match
-                  Hashtbl.find_opt tables.(part_of_key key land pmask) key
-                with
-                | None -> ()
-                | Some matches ->
-                  List.iter
-                    (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                    matches)
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid
-        ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-        ~partitions:(Array.length tables) out
-    | Plan.CNaturalJoin ([| il |], [| ir |], merge, left, right) ->
-      (* structural match on the one shared column: Nulls {e do} join *)
-      let merged_of = make_merger merge in
-      let part_of_key key = Hashtbl.hash key land (nparts - 1) in
-      let rrows = eval right in
-      let tables =
-        partitioned rrows
-          (fun row -> Some (part_of_key row.(ir)))
-          (fun rows ->
-            let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-            for i = Array.length rows - 1 downto 0 do
-              let rrow = rows.(i) in
-              let key = rrow.(ir) in
-              Hashtbl.replace tbl key
-                (rrow
-                ::
-                (match Hashtbl.find_opt tbl key with
-                | Some prev -> prev
-                | None -> []))
-            done;
-            tbl)
-      in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      let pmask = Array.length tables - 1 in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              let key = lrow.(il) in
-              match
-                Hashtbl.find_opt tables.(part_of_key key land pmask) key
-              with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                  matches
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid
-        ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-        ~partitions:(Array.length tables) out
-    | Plan.CNaturalJoin (kl, kr, merge, left, right) ->
-      let merged_of = make_merger merge in
-      let key_l = make_copier kl in
-      let key_r = make_copier kr in
-      let part_of_key key = Relation.Row.hash key land (nparts - 1) in
-      let rrows = eval right in
-      let tables =
-        partitioned rrows
-          (fun row -> Some (part_of_key (key_r row)))
-          (fun rows ->
-            let tbl = Relation.RowTbl.create (max 16 (Array.length rows)) in
-            for i = Array.length rows - 1 downto 0 do
-              let rrow = rows.(i) in
-              let key = key_r rrow in
-              Relation.RowTbl.replace tbl key
-                (rrow
-                ::
-                (match Relation.RowTbl.find_opt tbl key with
-                | Some prev -> prev
-                | None -> []))
-            done;
-            tbl)
-      in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      let pmask = Array.length tables - 1 in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              let key = key_l lrow in
-              match
-                Relation.RowTbl.find_opt tables.(part_of_key key land pmask)
-                  key
-              with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                  matches
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid
-        ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-        ~partitions:(Array.length tables) out
-    | Plan.CUnion (left, right) ->
-      let l = eval left in
-      let r = eval right in
-      record cid ~morsels:0 ~partitions:0 (Array.append l r)
-    | Plan.CDiff (left, right) ->
-      let rrows = eval right in
-      let lrows = eval left in
-      if Array.length rrows = 0 then
-        (* empty exclusion set: diff is a pass-through (same fast path
-           as the serial executor) *)
-        record cid ~morsels:0 ~partitions:0 lrows
-      else begin
-        let part_of row = Relation.Row.hash row land (nparts - 1) in
-        let tables =
-          partitioned rrows
-            (fun row -> Some (part_of row))
-            (fun rows ->
-              let tbl = Relation.RowTbl.create (max 16 (Array.length rows)) in
-              Array.iter (fun row -> Relation.RowTbl.replace tbl row ()) rows;
-              tbl)
-        in
-        let n = Array.length lrows in
-        let pmask = Array.length tables - 1 in
-        let out =
-          chunked n (fun ~w:_ ~lo ~hi ->
-              let buf = Array.make (hi - lo) [||] in
-              let k = ref 0 in
-              for i = lo to hi - 1 do
-                let row = lrows.(i) in
-                if not (Relation.RowTbl.mem tables.(part_of row land pmask) row)
-                then begin
-                  buf.(!k) <- row;
-                  incr k
-                end
-              done;
-              if !k = hi - lo then buf else Array.sub buf 0 !k)
-        in
-        record cid
-          ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-          ~partitions:(Array.length tables) out
-      end
-    | Plan.CMapProp (at, p, recv, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let access =
-        per_worker_memo (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let out = mapped rows (fun ~w row -> ins row (access ~w row.(recv))) in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length rows)) ~partitions:0 out
-    | Plan.CMapMeth (at, m, recv, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        per_worker_memo (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let out =
-        mapped rows (fun ~w row ->
-            ins row (call ~w (grecv row, args_of getters row)))
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length rows)) ~partitions:0 out
-    | Plan.CMapOp (at, op, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let apply = op_applier op args in
-      let rows = eval input in
-      let out = mapped rows (fun ~w:_ row -> ins row (apply row)) in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length rows)) ~partitions:0 out
-    | Plan.CFlatProp (at, p, recv, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let access =
-        per_worker_memo (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w ~lo ~hi ->
-            expand_rows ins (Array.sub rows lo (hi - lo)) (fun row ->
-                access ~w row.(recv)))
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CFlatMeth (at, m, recv, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        per_worker_memo (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w ~lo ~hi ->
-            expand_rows ins (Array.sub rows lo (hi - lo)) (fun row ->
-                call ~w (grecv row, args_of getters row)))
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CFlatOp (at, op, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let apply = op_applier op args in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            expand_rows ins (Array.sub rows lo (hi - lo)) apply)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
-      (* provably-distinct projection (see the serial kernel): a pure
-         1:1 copy-out, fully parallel, no dedup merge *)
-      let proj = make_copier srcs in
-      let rows = eval input in
-      let out = mapped rows (fun ~w:_ row -> proj row) in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length out)) ~partitions:0 out
-    | Plan.CProject ([| i |], input) ->
-      (* per-morsel local dedup in parallel, then a serial merge in
-         morsel order: the survivors are exactly the first occurrences
-         a serial pass would keep, in the same order *)
-      let rows = eval input in
-      let n = Array.length rows in
-      let m = morsels_of n in
-      let locals = Array.make (max 1 m) [||] in
-      parallel_for m (fun ~w:_ mi ->
-          let lo = mi * morsel_size in
-          let hi = min n (lo + morsel_size) in
-          let seen = Hashtbl.create 64 in
-          let acc = Rowbuf.create () in
-          for j = lo to hi - 1 do
-            let v = rows.(j).(i) in
-            if not (Hashtbl.mem seen v) then begin
-              Hashtbl.add seen v ();
-              Rowbuf.push acc [| v |]
-            end
-          done;
-          locals.(mi) <- Rowbuf.contents acc);
-      let seen = Hashtbl.create 256 in
-      let acc = Rowbuf.create () in
-      Array.iter
-        (Array.iter (fun row ->
-             let v = row.(0) in
-             if not (Hashtbl.mem seen v) then begin
-               Hashtbl.add seen v ();
-               Rowbuf.push acc row
-             end))
-        locals;
-      let out = Rowbuf.contents acc in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:m ~partitions:0 out
-    | Plan.CProject (srcs, input) ->
-      let proj = make_copier srcs in
-      let rows = eval input in
-      let n = Array.length rows in
-      let m = morsels_of n in
-      let locals = Array.make (max 1 m) [||] in
-      parallel_for m (fun ~w:_ mi ->
-          let lo = mi * morsel_size in
-          let hi = min n (lo + morsel_size) in
-          let seen = Relation.RowTbl.create 64 in
-          let acc = Rowbuf.create () in
-          for j = lo to hi - 1 do
-            let projected = proj rows.(j) in
-            if not (Relation.RowTbl.mem seen projected) then begin
-              Relation.RowTbl.add seen projected ();
-              Rowbuf.push acc projected
-            end
-          done;
-          locals.(mi) <- Rowbuf.contents acc);
-      let seen = Relation.RowTbl.create 256 in
-      let acc = Rowbuf.create () in
-      Array.iter
-        (Array.iter (fun projected ->
-             if not (Relation.RowTbl.mem seen projected) then begin
-               Relation.RowTbl.add seen projected ();
-               Rowbuf.push acc projected
-             end))
-        locals;
-      let out = Rowbuf.contents acc in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:m ~partitions:0 out
-    | Plan.CFused (f, input) ->
-      let run = step_runner (fused_steps_of ctx { memo = per_worker_memo } f) in
-      let seed = make_seeder ~fin_width:f.Plan.fin_width ~fregs:f.Plan.fregs in
-      (* register buffers are fresh per row (see [make_seeder]), so
-         workers share nothing but the steps *)
-      let eval_regs ~w row = fused_row run ~seed ~w row in
-      let rows = eval input in
-      let n = Array.length rows in
-      let m = morsels_of n in
-      if not (f.Plan.fdedup && not f.Plan.fkeyed) then begin
-        let out_of =
-          if fused_out_is_regs f then Fun.id else make_copier f.Plan.fout
-        in
-        let out =
-          chunked n (fun ~w ~lo ~hi ->
-              let buf = Array.make (hi - lo) [||] in
-              let k = ref 0 in
-              for i = lo to hi - 1 do
-                let regs = eval_regs ~w rows.(i) in
-                if regs != fused_rejected then begin
-                  buf.(!k) <- out_of regs;
-                  incr k
-                end
-              done;
-              if !k = hi - lo then buf else Array.sub buf 0 !k)
-        in
-        Counters.charge_tuples cnt (Array.length out);
-        record cid ~morsels:m ~partitions:0 out
-      end
-      else begin
-        (* per-morsel local dedup + serial merge in morsel order: the
-           survivors are exactly the first occurrences a serial pass
-           would keep, in the same order (same argument as the
-           standalone projection kernels above) *)
-        let locals = Array.make (max 1 m) [||] in
-        let out =
-          match f.Plan.fout with
-          | [| src |] ->
-            parallel_for m (fun ~w mi ->
-                let lo = mi * morsel_size in
-                let hi = min n (lo + morsel_size) in
-                let seen = Hashtbl.create 64 in
-                let acc = Rowbuf.create () in
-                for j = lo to hi - 1 do
-                  let regs = eval_regs ~w rows.(j) in
-                  if regs != fused_rejected then begin
-                    let v = regs.(src) in
-                    if not (Hashtbl.mem seen v) then begin
-                      Hashtbl.add seen v ();
-                      Rowbuf.push acc [| v |]
-                    end
-                  end
-                done;
-                locals.(mi) <- Rowbuf.contents acc);
-            let seen = Hashtbl.create 256 in
-            let acc = Rowbuf.create () in
-            Array.iter
-              (Array.iter (fun row ->
-                   let v = row.(0) in
-                   if not (Hashtbl.mem seen v) then begin
-                     Hashtbl.add seen v ();
-                     Rowbuf.push acc row
-                   end))
-              locals;
-            Rowbuf.contents acc
-          | srcs ->
-            let proj = make_copier srcs in
-            parallel_for m (fun ~w mi ->
-                let lo = mi * morsel_size in
-                let hi = min n (lo + morsel_size) in
-                let seen = Relation.RowTbl.create 64 in
-                let acc = Rowbuf.create () in
-                for j = lo to hi - 1 do
-                  let regs = eval_regs ~w rows.(j) in
-                  if regs != fused_rejected then begin
-                    let projected = proj regs in
-                    if not (Relation.RowTbl.mem seen projected) then begin
-                      Relation.RowTbl.add seen projected ();
-                      Rowbuf.push acc projected
-                    end
-                  end
-                done;
-                locals.(mi) <- Rowbuf.contents acc);
-            let seen = Relation.RowTbl.create 256 in
-            let acc = Rowbuf.create () in
-            Array.iter
-              (Array.iter (fun projected ->
-                   if not (Relation.RowTbl.mem seen projected) then begin
-                     Relation.RowTbl.add seen projected ();
-                     Rowbuf.push acc projected
-                   end))
-              locals;
-            Rowbuf.contents acc
-        in
-        Counters.charge_tuples cnt (Array.length out);
-        record cid ~morsels:m ~partitions:0 out
-      end
+    match op_of ~stats ctx ~jobs c with
+    | Leaf { items; row; fetch } ->
+      let items = Array.of_list items in
+      if fetch then Counters.charge_object_fetches cnt (Array.length items);
+      stage cid ~charge:false (source items row) pass
+    | Stream { input; charge; run } -> stage cid ~charge (pipeline input) run
+    | Dedup { input; fresh; merge } ->
+      (* per-morsel local dedup in parallel, then an in-order merge *)
+      let p = pipeline input in
+      let rows = merge (drain { p with run = (fun ~w i -> fresh () ~w (p.run ~w i)) }) in
+      Counters.charge_tuples cnt (Array.length rows);
+      source (record ~w:0 cid ~morsels:p.morsels rows) Fun.id
+    | Probe { probe; build; charge; prepare } ->
+      let rrows = drain (pipeline build) in
+      let parts, run = prepare partitioner rrows in
+      (match stats with
+      | Some s when parts > 0 ->
+        s.node_partitions.(cid) <- s.node_partitions.(cid) + parts;
+        s.node_morsels.(cid) <-
+          s.node_morsels.(cid) + morsels_of (Array.length rrows)
+      | _ -> ());
+      stage cid ~charge (pipeline probe) run
+    | Cross { left; right; pair } ->
+      let rrows = drain (pipeline right) in
+      stage cid ~charge:true (pipeline left) (crossing pair rrows)
+    | Concat (left, right) ->
+      let l = pipeline left in
+      let r = pipeline right in
+      stage cid ~charge:false
+        {
+          morsels = l.morsels + r.morsels;
+          run =
+            (fun ~w i ->
+              if i < l.morsels then l.run ~w i else r.run ~w (i - l.morsels));
+        }
+        pass
   in
-  eval root
+  let rows = drain (pipeline root) in
+  Option.iter
+    (fun s ->
+      Array.iter
+        (fun l ->
+          let add dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
+          add s.node_rows l.node_rows;
+          add s.node_blocks l.node_blocks;
+          add s.node_morsels l.node_morsels)
+        local)
+    stats;
+  rows
 
 let compile ?fuse ctx plan =
   try Plan.compile ?fuse plan
@@ -2040,32 +1552,14 @@ let effective_jobs ctx jobs (c : Plan.compiled) =
   if jobs <= 1 then 1
   else
     let rec widest (c : Plan.compiled) =
-      let ext cls =
-        try Object_store.extent_size ctx.store cls with Not_found -> 0
-      in
       match c.Plan.cop with
-      | Plan.CUnit -> 0
       | Plan.CFullScan cls
       | Plan.CIndexScan (cls, _, _)
       | Plan.CRangeScan (cls, _, _, _)
-      | Plan.CMethodScan (cls, _, _) ->
-        ext cls
-      | Plan.CFilter (_, _, _, i)
-      | Plan.CMapProp (_, _, _, i)
-      | Plan.CMapMeth (_, _, _, _, i)
-      | Plan.CFlatProp (_, _, _, i)
-      | Plan.CFlatMeth (_, _, _, _, i)
-      | Plan.CMapOp (_, _, _, i)
-      | Plan.CFlatOp (_, _, _, i)
-      | Plan.CProject (_, i)
-      | Plan.CFused (_, i) ->
-        widest i
-      | Plan.CNestedLoop (_, _, l, r)
-      | Plan.CHashJoin (_, _, _, l, r)
-      | Plan.CNaturalJoin (_, _, _, l, r)
-      | Plan.CUnion (l, r)
-      | Plan.CDiff (l, r) ->
-        max (widest l) (widest r)
+      | Plan.CMethodScan (cls, _, _) -> (
+        try Object_store.extent_size ctx.store cls with Not_found -> 0)
+      | _ ->
+        List.fold_left (fun m i -> max m (widest i)) 0 (Plan.compiled_inputs c)
     in
     if widest c <= morsel_size then 1 else jobs
 

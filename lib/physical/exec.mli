@@ -1,25 +1,29 @@
 (** Execution of physical plans.
 
-    Two executors share one context:
-
     {ul
     {- {!Interpreted} is the original Volcano path — one canonical tuple
        per [next ()], references resolved by name on every row.  It is
-       the executable specification the batch path is property-tested
-       against.}
-    {- The default path ({!run}) first {!compile}s the plan — resolving
-       every reference, join key and projection to an integer slot
-       against per-operator {!Relation.Layout.t}s — then evaluates
-       blocks of rows ([Value.t array array], up to {!block_size} rows
-       per block) with tight array kernels: no assoc lists and no name
-       lookups inside the per-row loops.}}
+       the executable specification the batch executor is
+       property-tested against.}
+    {- The batch executor ({!run}) first {!compile}s the plan —
+       resolving every reference, join key and projection to an integer
+       slot against per-operator {!Relation.Layout.t}s — then evaluates
+       blocks of rows ([Value.t array array]) with tight array kernels:
+       no assoc lists and no name lookups inside the per-row loops.
+       Each operator is one kernel mapping a block of input rows to its
+       output rows; breakers (join build sides, diff's exclusion set,
+       dedup) add a build step.  Two drivers run the same kernels: the
+       serial driver ({!open_compiled}) pulls blocks of at most
+       {!block_size} rows through them, the parallel driver
+       ({!eval_parallel}) pushes {!morsel_size}-row morsels.}}
 
     Per-operator memo tables cache method invocations and property
-    accesses keyed by receiver and argument {e values} in both paths:
-    safe because optimized queries are side-effect free, and exactly
-    what makes tuple-independent operator chains (a class-method call
-    with constant arguments and the accesses hanging off it) cost one
-    evaluation per execution instead of one per tuple. *)
+    accesses keyed by receiver and argument {e values} in both paths
+    (one table per worker in the batch executor): safe because optimized
+    queries are side-effect free, and exactly what makes
+    tuple-independent operator chains (a class-method call with constant
+    arguments and the accesses hanging off it) cost one evaluation per
+    execution instead of one per tuple. *)
 
 open Soqm_vml
 open Soqm_algebra
@@ -83,13 +87,14 @@ type node_stats = {
   node_rows : int array;
   node_blocks : int array;
   node_morsels : int array;
-      (** input morsels processed by the parallel path (0 under serial
-          execution) *)
+      (** morsels that passed through the operator's kernel under the
+          parallel driver, plus the build-side morsels a hash join or
+          diff built its tables from (0 under serial execution) *)
   node_partitions : int array;
       (** build-side partitions used by the parallel hash join / diff
-          kernels (0 under serial execution and for non-partitioned
-          operators; 1 when a tiny build side collapsed to a single
-          shared table) *)
+          kernels (0 under serial execution, for non-hashing operators
+          and for a diff whose exclusion set is empty; 1 when a build
+          side within one morsel collapsed to a single shared table) *)
   node_pages : int array;
       (** disk pages touched by full scans of this node ([ctx.scan_cost]);
           0 for in-memory databases *)
@@ -110,22 +115,27 @@ val compile : ?fuse:bool -> ctx -> Plan.t -> Plan.compiled
     interpreted executor raises at run time). *)
 
 val open_compiled : ?stats:node_stats -> ctx -> Plan.compiled -> biter
-(** Open the root block iterator.  Every emitted block charges the
-    block counter; with [stats] it also accumulates per-node actual
-    rows/blocks.  @raise Error on dynamic failures. *)
+(** The serial driver: open the root block iterator.  Every emitted
+    block charges the block counter; with [stats] it also accumulates
+    per-node actual rows/blocks.  Joins, diff and nested loops drain
+    their build (right) side lazily, when first needed.  @raise Error
+    on dynamic failures. *)
 
 val drain_blocks : biter -> Relation.Row.t array list
 
 (** {1 Morsel-driven parallel execution}
 
-    With [jobs >= 2], operators evaluate bottom-up on the {!Pool.global}
-    domain pool: each operator materializes its output as one row array,
-    workers claim {!morsel_size}-row morsels of the input through an
-    atomic cursor, and per-morsel results are concatenated in morsel
-    order — so the parallel output is row-for-row identical to the
-    serial executor's (DESIGN.md §10).  Equi- and natural joins (and
-    diff) hash-partition their build side and build one table per
-    partition in parallel, preserving build-input match order. *)
+    With [jobs >= 2] the plan runs on the {!Pool.global} domain pool as
+    pipelines: a scan's {!morsel_size}-row morsels, claimed by workers
+    through an atomic cursor, each pass through the kernels of the
+    streaming operators above the scan, and the per-morsel outputs are
+    concatenated in morsel order — so the parallel output is row-for-row
+    identical to the serial driver's (DESIGN.md §10).  Pipelines break
+    at build sides, which are materialized first (equi- and natural
+    joins and diff hash-partition large ones and build one table per
+    partition in parallel, preserving build-input match order), and at
+    dedup, which dedups each morsel locally and merges the survivors in
+    morsel order. *)
 
 val morsel_size : int
 (** Rows per work unit claimed by a parallel worker (1024 = 8 serial
@@ -133,10 +143,13 @@ val morsel_size : int
 
 val eval_parallel :
   ?stats:node_stats -> ctx -> jobs:int -> Plan.compiled -> Relation.Row.t array
-(** Evaluate with [jobs] workers and return the root's materialized
-    rows (in deterministic, serial-identical order — exposed for the
-    determinism tests and benchmarks).  @raise Error on dynamic
-    failures, re-raised on the caller after all workers join. *)
+(** The parallel driver: evaluate with [jobs] workers and return the
+    root's materialized rows (in deterministic, serial-identical order —
+    exposed for the determinism tests and benchmarks).  Build sides are
+    evaluated even when the probe side turns out empty, so a run's
+    charged counters can exceed the serial run's there.  @raise Error
+    on dynamic failures, re-raised on the caller after all workers
+    join. *)
 
 val effective_jobs : ctx -> int -> Plan.compiled -> int
 (** The worker count the default executor would actually use: [jobs]

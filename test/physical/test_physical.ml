@@ -465,6 +465,23 @@ let test_fused_null_semantics () =
         (Exec.run_compiled ~jobs ~clamp:false (ctx ()) pf))
     [ 2; 3; 4 ]
 
+(* A fused pure-selection chain over zero-width rows (constant filters
+   on Unit) passes its input rows through as register files, so the
+   kernels' rejection marker must never be mistaken for an empty row. *)
+let test_fused_zero_width_rows () =
+  let one = Restricted.OConst (Value.Int 1) in
+  let plan =
+    Plan.Filter (Restricted.CEq, one, one, Plan.Filter (Restricted.CEq, one, one, Plan.Unit))
+  in
+  let fused = Exec.compile (ctx ()) plan in
+  check Alcotest.bool "constant filters fused" true (Plan.fused_count fused > 0);
+  let reference = run_interp plan in
+  check Alcotest.int "the unit row survives" 1 (Relation.cardinality reference);
+  check F.relation "serial fused = interpreted" reference
+    (Exec.run_compiled (ctx ()) fused);
+  check F.relation "parallel fused = interpreted" reference
+    (Exec.run_compiled ~jobs:2 ~clamp:false (ctx ()) fused)
+
 let test_block_accounting () =
   let d = Lazy.force db in
   let plan = Plan.FullScan ("p", "Paragraph") in
@@ -1016,6 +1033,7 @@ let () =
           F.case "Null-key join semantics" test_null_keys_pin;
           QCheck_alcotest.to_alcotest prop_fusion_parity;
           F.case "Null semantics in fused kernels" test_fused_null_semantics;
+          F.case "fused selection over zero-width rows" test_fused_zero_width_rows;
           F.case "block accounting" test_block_accounting;
           F.case "slot miss on bad plan" test_slot_miss_charged;
           F.case "analyze stats" test_analyze_stats;
