@@ -246,10 +246,14 @@ let explain_cmd =
               morsels pages
           | None -> Printf.sprintf "(%s)" est
         in
+        let naive_cost =
+          Soqm_physical.Cost.cost db.Db.stats
+            (Soqm_physical.Plan.default_implementation logical)
+        in
         Printf.printf
-          "plan: estimated cost %.1f, %d variant(s) explored, %d operator(s), \
-           block size %d\n"
-          opt.Soqm_optimizer.Search.best_cost
+          "plan: estimated cost %.1f (naive %.1f), %d variant(s) explored, %d \
+           operator(s), block size %d\n"
+          opt.Soqm_optimizer.Search.best_cost naive_cost
           opt.Soqm_optimizer.Search.variants_explored
           (Soqm_physical.Plan.node_count compiled)
           Soqm_physical.Exec.block_size;

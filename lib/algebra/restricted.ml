@@ -164,6 +164,18 @@ let with_inputs t new_inputs =
 
 let rec subtrees t = t :: List.concat_map subtrees (inputs t)
 
+(* The search's tables key on whole terms.  The stdlib's [Hashtbl.hash]
+   stops after 10 meaningful words, so terms that differ only below the
+   top few nodes share a bucket (conj4's 2500 variants fell into 76
+   values); hash up to the runtime's 256-value cap instead, which covers
+   every node of the terms the optimizer builds. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash t = Hashtbl.hash_param 256 256 t
+end)
+
 let temp_counter = ref 0
 
 let temp_ref () =

@@ -65,6 +65,11 @@ type t =
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+(** Hash tables keyed by terms under {!equal}.  The hash reads up to 256
+    of the term's values — every node of the terms the optimizer builds,
+    where [Hashtbl.hash] reads only the top few. *)
+module Tbl : Hashtbl.S with type key = t
+
 val cmp_to_binop : cmp -> Expr.binop
 val binop_to_cmp : Expr.binop -> cmp option
 

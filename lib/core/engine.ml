@@ -22,6 +22,9 @@ type t = {
      compiled rules and the knowledge base behind them are mutable *)
   mutable transformations : Rule.transformation list;
   mutable implementations : Rule.implementation list;
+  mutable inverse_links : (string * string) list;
+      (* links whose inverse-link equivalence is in the knowledge: the
+         optimizer's join-to-path normalization follows only these *)
   mutable declared_specs : Soqm_semantics.Equivalence.t list;
   mutable facts : Saturate.fact list;  (* declared + derived knowledge *)
   mutable saturation : Saturate.config option;  (* None = saturation off *)
@@ -122,6 +125,12 @@ let rebuild_rules t =
   let derived_t, derived_i = rules_of_facts schema facts in
   t.transformations <- t.builtins @ derived_t;
   t.implementations <- Builtin_rules.implementations @ derived_i;
+  t.inverse_links <-
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (f : Saturate.fact) ->
+           Soqm_semantics.Equivalence.inverse_link schema f.Saturate.spec)
+         facts);
   t.knowledge_epoch <- t.knowledge_epoch + 1
 
 let make_engine ~store ~exec ~stats ~has_index ~has_range_index
@@ -145,6 +154,7 @@ let make_engine ~store ~exec ~stats ~has_index ~has_range_index
       builtins;
       transformations = [];
       implementations = [];
+      inverse_links = [];
       declared_specs = specs;
       facts = [];
       saturation = (if saturate then Some Saturate.default_config else None);
@@ -321,8 +331,8 @@ let optimize_entry t logical =
     t.cache_misses <- t.cache_misses + 1;
     Counters.charge_plan_cache_miss counters;
     let result =
-      Search.optimize ~config:t.config t.opt_ctx t.transformations
-        t.implementations logical
+      Search.optimize ~config:t.config ~inverse_links:t.inverse_links t.opt_ctx
+        t.transformations t.implementations logical
     in
     evict_lru t;
     let entry =

@@ -286,6 +286,134 @@ let hoist_const_membership =
         | _ -> [])
       | _ -> [])
 
+(* ------------------------------------------------------------------ *)
+(* Pre-search normalization: inverse-link joins become path steps      *)
+(* ------------------------------------------------------------------ *)
+
+(* Push the maps and selections of the operator chain over every
+   [Cross] into the side that supplies all the references they read.
+   The chain is walked innermost first; an operator that stays above
+   the product blocks every later one that reads what it produces. *)
+let rec cross_pushdown term =
+  let ops, base = unstack term in
+  match base with
+  | Restricted.Cross (l, r) ->
+    let pushable = function
+      | Restricted.SelectCmp _ | Restricted.MapProperty _ | Restricted.MapMethod _
+      | Restricted.MapOperator _ ->
+        true
+      | _ -> false
+    in
+    let within refs u = u <> [] && List.for_all (fun x -> List.mem x refs) u in
+    let keep, lops, rops, _, _, _ =
+      List.fold_left
+        (fun (keep, lops, rops, lrefs, rrefs, blocked) op ->
+          let u = uses op in
+          let plus refs = Option.fold ~none:refs ~some:(fun a -> a :: refs) (produces op) in
+          let free = pushable op && not (List.exists (fun x -> List.mem x blocked) u) in
+          if free && within lrefs u then
+            (keep, op :: lops, rops, plus lrefs, rrefs, blocked)
+          else if free && within rrefs u then
+            (keep, lops, op :: rops, lrefs, plus rrefs, blocked)
+          else (op :: keep, lops, rops, lrefs, rrefs, plus blocked))
+        ([], [], [], Restricted.refs l, Restricted.refs r, [])
+        (List.rev ops)
+    in
+    restack keep
+      (Restricted.Cross
+         (cross_pushdown (restack lops l), cross_pushdown (restack rops r)))
+  | _ ->
+    restack ops
+      (Restricted.with_inputs base (List.map cross_pushdown (Restricted.inputs base)))
+
+(* The converse of Example 8.  select<a == d>(cross(Ext, X)), where
+   Ext = Chain(get<s, C>) computes a by map_property<a, p, s>, C.p has
+   the inverse D.p2 and X scans D into d, is the path
+   Chain'(flat_property<s, p2, d>(X)) with map_property<a, p, s>
+   replaced by map_operator<a := ident(d)> in Chain'.  Sound because
+   inverse links are maintained: d.p2 holds exactly the s with
+   s.p == d.  [links] lists the (C, p) whose inverse-link knowledge is
+   declared; the result names the link used. *)
+let inverse_join links schema cond l r =
+  let side ext other a d =
+    let ops, base = unstack ext in
+    let is_step = function
+      | Restricted.MapProperty (a', _, s', _) -> (
+        String.equal a' a
+        && match base with Restricted.Get (s, _) -> String.equal s s' | _ -> false)
+      | _ -> false
+    in
+    match base, List.find_opt is_step ops with
+    | Restricted.Get (s, c), Some (Restricted.MapProperty (_, p, _, _))
+      when List.mem (c, p) links -> (
+      match Schema.inverse_of schema ~cls:c ~prop:p with
+      | Some (dcls, p2)
+        when Schema.property_type schema ~cls:c ~prop:p = Some (Vtype.TObj dcls)
+             && List.mem (Restricted.Get (d, dcls)) (Restricted.subtrees other) ->
+        let ops =
+          List.map
+            (fun op ->
+              if is_step op then
+                Restricted.MapOperator (a, Restricted.OpIdent, [ Restricted.ORef d ], op)
+              else op)
+            ops
+        in
+        Some ((c, p), restack ops (Restricted.FlatProperty (s, p2, d, other)))
+      | _ -> None)
+    | _ -> None
+  in
+  match cond with
+  | Restricted.SelectCmp (Restricted.CEq, Restricted.ORef x, Restricted.ORef y, _) ->
+    List.find_map Fun.id [ side l r x y; side l r y x; side r l x y; side r l y x ]
+  | _ -> None
+
+(* One inverse-join rewrite at the first (pre-order) product that admits
+   one; the equality may sit anywhere in the chain over the product,
+   since selections commute with the two-sided operators around them. *)
+let rec join_to_path links schema term =
+  let ops, base = unstack term in
+  let here =
+    match base with
+    | Restricted.Cross (l, r) ->
+      List.find_map
+        (fun cond ->
+          Option.map
+            (fun (link, joined) ->
+              (link, restack (List.filter (fun op -> op != cond) ops) joined))
+            (inverse_join links schema cond l r))
+        (List.rev ops)
+    | _ -> None
+  in
+  match here with
+  | Some _ -> here
+  | None ->
+    let rec first before = function
+      | [] -> None
+      | i :: after -> (
+        match join_to_path links schema i with
+        | Some (link, i') ->
+          Some
+            ( link,
+              restack ops (Restricted.with_inputs base (List.rev_append before (i' :: after))) )
+        | None -> first (i :: before) after)
+    in
+    first [] (Restricted.inputs base)
+
+let normalize ~links schema term =
+  if links = [] then []
+  else
+    let pushed = cross_pushdown term in
+    let rec paths t =
+      match join_to_path links schema t with
+      | Some ((c, p), t') ->
+        (Printf.sprintf "inverse-join-to-path[%s.%s]" c p, t') :: paths t'
+      | None -> []
+    in
+    match paths pushed with
+    | [] -> []
+    | steps when Restricted.equal pushed term -> steps
+    | steps -> ("cross-pushdown", pushed) :: steps
+
 let transformations =
   [
     commute_unary;

@@ -53,6 +53,25 @@ val hoist_const_membership : Rule.transformation
     [Chain] computing [w : {C}] becomes [flat<x ∈ w>(Chain(unit))] —
     eliminates the extent scan, completing the derivation of plan PQ. *)
 
+val normalize :
+  links:(string * string) list ->
+  Soqm_vml.Schema.t ->
+  Soqm_algebra.Restricted.t ->
+  (string * Soqm_algebra.Restricted.t) list
+(** The deterministic pre-search normalization: joins along declared
+    inverse links become path navigation (the converse of Example 8).
+    [select<a == d>(cross(Chain(get<s, C>), X))], where [Chain] computes
+    [a] by [map_property<a, p, s>], [(C, p)] is in [links], [C.p] has
+    the inverse [D.p2] and [X] scans [D] into [d], becomes
+    [Chain'(flat_property<s, p2, d>(X))] with that map replaced by
+    [map_operator<a := ident(d)>].  Maps and selections are first pushed
+    into the side of each product that supplies their references
+    (["cross-pushdown"]), so the equality meets the product; either
+    operand order and either input order match.  Returns the named
+    steps (["cross-pushdown"], then one
+    ["inverse-join-to-path[C.p]"] per rewrite), or [[]] — leaving the
+    term as it is, pushdown included — when no rewrite applies. *)
+
 val transformations : Rule.transformation list
 (** All of the above. *)
 

@@ -55,29 +55,25 @@ let saturate_nodes ~config schema rules term0 =
   let want_refs = Restricted.refs term0 in
   let size_limit = Restricted.size term0 + config.max_size_slack in
   let fired : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let seen = Hashtbl.create 256 in
   (* every canonical candidate ever inspected, admissible or not: a
      candidate regenerated by another derivation skips the (expensive)
-     well-formedness/refs admissibility check entirely *)
-  let examined = Hashtbl.create 256 in
+     well-formedness/refs admissibility check entirely, and only a
+     never-examined term reaches [push] *)
+  let examined = Restricted.Tbl.create 256 in
   let nodes = ref [||] in
   let count = ref 0 in
   let truncated = ref false in
   let push node =
-    (* a duplicate already kept (or already dropped) is never a lost
-       variant: only report truncation for genuinely new terms that the
-       bound forces us to discard *)
-    if not (Hashtbl.mem seen node.term) then
-      if !count >= config.max_variants then truncated := true
-      else (
-        Hashtbl.replace seen node.term ();
-        if Array.length !nodes = !count then
-          nodes :=
-            Array.append !nodes (Array.make (max 64 (Array.length !nodes)) node);
-        !nodes.(!count) <- node;
-        incr count)
+    (* [node.term] is new, so dropping it at the bound loses a variant *)
+    if !count >= config.max_variants then truncated := true
+    else (
+      if Array.length !nodes = !count then
+        nodes :=
+          Array.append !nodes (Array.make (max 64 (Array.length !nodes)) node);
+      !nodes.(!count) <- node;
+      incr count)
   in
-  Hashtbl.replace examined (Restricted.alpha_canonical term0) ();
+  Restricted.Tbl.replace examined term0 ();
   push { term = term0; parent = None; once_used = SSet.empty };
   let i = ref 0 in
   while !i < !count do
@@ -93,8 +89,8 @@ let saturate_nodes ~config schema rules term0 =
           List.iter
             (fun cand ->
               let cand = Restricted.alpha_canonical cand in
-              if not (Hashtbl.mem examined cand) then (
-                Hashtbl.replace examined cand ();
+              if not (Restricted.Tbl.mem examined cand) then (
+                Restricted.Tbl.replace examined cand ();
                 if Restricted.size cand <= size_limit && admissible ~want_refs cand
                 then (
                   Hashtbl.replace fired rule.Rule.t_name
@@ -173,7 +169,7 @@ exception No_plan of string
    of the (up to [max_variants]) logical variants that contains it. *)
 let implement_memo (ctx : Rule.opt_ctx) impls memo =
   let rec best (term : Restricted.t) : Plan.t * float =
-    match Hashtbl.find_opt memo term with
+    match Restricted.Tbl.find_opt memo term with
     | Some (Some pc) -> pc
     | Some None ->
       raise
@@ -209,7 +205,7 @@ let implement_memo (ctx : Rule.opt_ctx) impls memo =
              this term *)
           None
       in
-      Hashtbl.replace memo term chosen;
+      Restricted.Tbl.replace memo term chosen;
       (match chosen with
       | Some pc -> pc
       | None ->
@@ -220,14 +216,29 @@ let implement_memo (ctx : Rule.opt_ctx) impls memo =
   best
 
 let implement_only ctx impls term =
-  let memo = Hashtbl.create 64 in
+  let memo = Restricted.Tbl.create 64 in
   implement_memo ctx impls memo term
 
-let optimize ?(config = default_config) (ctx : Rule.opt_ctx) rules impls term0 =
-  let nodes, truncated, arr, rule_applications =
-    saturate_nodes ~config ctx.Rule.schema rules term0
+let optimize ?(config = default_config) ?(inverse_links = []) (ctx : Rule.opt_ctx)
+    rules impls term0 =
+  let term0 = Restricted.alpha_canonical term0 in
+  (* the normalization's steps lead the derivation; a result that would
+     not be admissible (it never should be) is dropped, not searched *)
+  let prelude =
+    List.map
+      (fun (rule, t) -> { rule; term = Restricted.alpha_canonical t })
+      (Builtin_rules.normalize ~links:inverse_links ctx.Rule.schema term0)
   in
-  let memo = Hashtbl.create 1024 in
+  let prelude, start =
+    match List.rev prelude with
+    | last :: _ when admissible ~want_refs:(Restricted.refs term0) last.term ->
+      (prelude, last.term)
+    | _ -> ([], term0)
+  in
+  let nodes, truncated, arr, rule_applications =
+    saturate_nodes ~config ctx.Rule.schema rules start
+  in
+  let memo = Restricted.Tbl.create 1024 in
   let best = implement_memo ctx impls memo in
   let best_result =
     List.fold_left
@@ -248,7 +259,7 @@ let optimize ?(config = default_config) (ctx : Rule.opt_ctx) rules impls term0 =
     let rec path idx acc =
       let node = arr.(idx) in
       match node.parent with
-      | None -> { rule = "(input)"; term = node.term } :: acc
+      | None -> acc
       | Some (p, rule) -> path p ({ rule; term = node.term } :: acc)
     in
     {
@@ -257,6 +268,6 @@ let optimize ?(config = default_config) (ctx : Rule.opt_ctx) rules impls term0 =
       best_logical = arr.(winner_idx).term;
       variants_explored = List.length nodes;
       truncated;
-      derivation = path winner_idx [];
+      derivation = ({ rule = "(input)"; term = term0 } :: prelude) @ path winner_idx [];
       rule_applications;
     }

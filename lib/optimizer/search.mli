@@ -61,11 +61,16 @@ val saturate :
 
 val optimize :
   ?config:config ->
+  ?inverse_links:(string * string) list ->
   Rule.opt_ctx ->
   Rule.transformation list ->
   Rule.implementation list ->
   Restricted.t ->
   result
+(** Optimize a term.  [inverse_links] (default none) lists the
+    [(class, property)] links whose inverse-link knowledge is declared;
+    before the search, {!Builtin_rules.normalize} turns joins along them
+    into path navigation, and its steps lead the [derivation]. *)
 
 val structural_roots : Restricted.t -> Plan.t list -> Plan.t list
 (** The default structural implementation(s) of a term's root operator

@@ -854,6 +854,13 @@ type partitioner = {
 
 let one_table = { partition = (fun rows _ build -> [| build rows |]) }
 
+(* The partition of a key hash among [nparts] (a power of two).  Each
+   partition's table buckets on the hash's low bits, so the partition
+   must come from other bits, or every table would fill only
+   1/[nparts] of its buckets: take bits 32 and up of a multiplicative
+   (Fibonacci) mix, which depend on every hash bit below them. *)
+let partition_of nparts h = ((h * 0x9E3779B97F4A7C1) lsr 32) land (nparts - 1)
+
 (* Build [rows] into tables keyed by [key], leaving out rows whose key
    fails [valid]; return the partition count and the probe lookup.
    Match lists come out in build-input order (reverse iteration +
@@ -879,8 +886,8 @@ let hash_build (type k) (module T : KEYED with type key = k) part
     match tables with
     | [| t |] -> fun k -> T.find_opt t k
     | _ ->
-      let mask = Array.length tables - 1 in
-      fun k -> T.find_opt tables.(T.hash k land mask) k
+      let nparts = Array.length tables in
+      fun k -> T.find_opt tables.(partition_of nparts (T.hash k)) k
   in
   (Array.length tables, find)
 
@@ -1373,11 +1380,36 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
 let morsel_size = 1024
 
 (* Partitions for the hash-join / diff build sides: the smallest power
-   of two >= jobs, so [hash land (nparts - 1)] spreads build work over
-   all workers while keeping partition tables few and large. *)
+   of two >= jobs, so [partition_of] spreads build work over all
+   workers while keeping partition tables few and large. *)
 let partition_count jobs =
   let rec go p = if p >= jobs then p else go (2 * p) in
   go 1
+
+(* Ordered two-phase partitioning: phase A buckets each build morsel
+   into [nparts] buffers; phase B concatenates partition [p]'s buckets
+   in morsel order — recovering build-input order — and builds its
+   table, one task per partition.  [parallel_for m f] runs [f 0 .. f
+   (m-1)]; in the parallel driver the pool's joins publish the buckets
+   to phase B and the tables to the probes.  A build side within one
+   morsel gets one table, built on the caller. *)
+let partition_build ~nparts ~parallel_for rows hash build =
+  let n = Array.length rows in
+  if nparts = 1 || n <= morsel_size then [| build rows |]
+  else begin
+    let m = (n + morsel_size - 1) / morsel_size in
+    let buckets = Array.make m [||] in
+    parallel_for m (fun i ->
+        let bufs = Array.init nparts (fun _ -> Rowbuf.create ()) in
+        for j = i * morsel_size to min n ((i + 1) * morsel_size) - 1 do
+          Rowbuf.push bufs.(partition_of nparts (hash rows.(j))) rows.(j)
+        done;
+        buckets.(i) <- Array.map Rowbuf.contents bufs);
+    let tables = Array.make nparts None in
+    parallel_for nparts (fun p ->
+        tables.(p) <- Some (build (Array.concat (List.init m (fun i -> buckets.(i).(p))))));
+    Array.map Option.get tables
+  end
 
 (* [morsels] work units; [run ~w i] computes morsel [i]'s output rows on
    worker [w]. *)
@@ -1453,33 +1485,13 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
           record ~w cid ~morsels:1 rows);
     }
   in
-  (* Ordered two-phase partitioning: phase A buckets each build morsel
-     into [nparts] buffers; phase B concatenates partition [p]'s buckets
-     in morsel order — recovering build-input order — and builds its
-     table, one worker per partition.  The pool's joins publish the
-     buckets to phase B and the tables to the probes.  A build side
-     within one morsel gets one table, built on the caller. *)
   let partitioner =
     {
       partition =
         (fun rows hash build ->
-          let n = Array.length rows in
-          if nparts = 1 || n <= morsel_size then [| build rows |]
-          else begin
-            let m = morsels_of n in
-            let buckets = Array.make m [||] in
-            parallel_for m (fun ~w:_ i ->
-                let bufs = Array.init nparts (fun _ -> Rowbuf.create ()) in
-                for j = i * morsel_size to min n ((i + 1) * morsel_size) - 1 do
-                  Rowbuf.push bufs.(hash rows.(j) land (nparts - 1)) rows.(j)
-                done;
-                buckets.(i) <- Array.map Rowbuf.contents bufs);
-            let tables = Array.make nparts None in
-            parallel_for nparts (fun ~w:_ p ->
-                tables.(p) <-
-                  Some (build (Array.concat (List.init m (fun i -> buckets.(i).(p))))));
-            Array.map Option.get tables
-          end);
+          partition_build ~nparts
+            ~parallel_for:(fun m f -> parallel_for m (fun ~w:_ i -> f i))
+            rows hash build);
     }
   in
   let rec pipeline (c : Plan.compiled) : pipeline =

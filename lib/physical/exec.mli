@@ -141,6 +141,22 @@ val morsel_size : int
 (** Rows per work unit claimed by a parallel worker (1024 = 8 serial
     blocks); see DESIGN.md §10 for the sizing rationale. *)
 
+val partition_build :
+  nparts:int ->
+  parallel_for:(int -> (int -> unit) -> unit) ->
+  Relation.Row.t array ->
+  (Relation.Row.t -> int) ->
+  (Relation.Row.t array -> 'tbl) ->
+  'tbl array
+(** [partition_build ~nparts ~parallel_for rows hash build]: how the
+    parallel driver turns a materialized build side into hash tables —
+    rows split by [hash] into [nparts] (a power of two) partitions, each
+    in build-input order and built by [build]; one table when [nparts =
+    1] or the rows fit one morsel.  [parallel_for m f] must run [f i]
+    for every [i < m] (the driver uses the pool).  The partition comes
+    from different bits of the hash than the tables' buckets, so every
+    table can use all of its buckets.  Exposed for tests. *)
+
 val eval_parallel :
   ?stats:node_stats -> ctx -> jobs:int -> Plan.compiled -> Relation.Row.t array
 (** The parallel driver: evaluate with [jobs] workers and return the

@@ -103,6 +103,21 @@ let from_inverse_links schema =
         cd.Schema.properties)
     (Schema.classes schema)
 
+let inverse_link schema = function
+  | Cond_equiv
+      {
+        cls;
+        var;
+        lhs = Expr.Binop (Expr.IsIn, Expr.Prop (Expr.Ref v1, p), Expr.Param d1);
+        rhs = Expr.Binop (Expr.IsIn, Expr.Ref v2, Expr.Prop (Expr.Param d2, p2));
+        _;
+      }
+    when String.equal v1 var && String.equal v2 var && String.equal d1 d2 -> (
+    match Schema.inverse_of schema ~cls ~prop:p with
+    | Some (_, p2') when String.equal p2 p2' -> Some (cls, p)
+    | _ -> None)
+  | _ -> None
+
 let pp ppf = function
   | Expr_equiv { name; cls; var; lhs; rhs } ->
     Format.fprintf ppf "%s: FORALL %s IN %s: %a == %a" name var cls Expr.pp lhs

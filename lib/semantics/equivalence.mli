@@ -58,4 +58,10 @@ val from_inverse_links : Schema.t -> t list
     [∀x IN C1: x.p1 IS-IN D ⇔ x IS-IN D.p2] — e.g. E3 and E4 of the
     document schema. *)
 
+val inverse_link : Schema.t -> t -> (string * string) option
+(** [Some (C1, p1)] when the specification is the inverse-link
+    equivalence {!from_inverse_links} derives for the declared link
+    [C1.p1] (up to variable and parameter names); the optimizer only
+    rewrites joins along links whose equivalence is in its knowledge. *)
+
 val pp : Format.formatter -> t -> unit

@@ -457,6 +457,220 @@ let prop_pipeline_sound =
       in
       Relation.equal reference got)
 
+(* ------------------------------------------------------------------ *)
+(* Plan regret: the optimizer never loses to the straightforward plan  *)
+(* ------------------------------------------------------------------ *)
+
+let join_q =
+  "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document WHERE \
+   s.document == d AND d.title == 'Query Optimization'"
+
+let conj n =
+  "ACCESS p FROM p IN Paragraph WHERE "
+  ^ String.concat " AND "
+      (List.init n (fun i -> Printf.sprintf "p.word_count > %d" (100 * (i + 1))))
+
+(* the EXP-A mix and the conjunction shapes of the benchmark's adhoc mix *)
+let regret_queries =
+  [
+    ("worked", query_q);
+    ("title", "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'");
+    ("large", "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500");
+    ("join", join_q);
+    ("contains", "ACCESS p FROM p IN Paragraph WHERE p->contains_string('Implementation')");
+  ]
+  @ List.map (fun n -> (Printf.sprintf "conj%d" n, conj n)) [ 1; 2; 3; 4 ]
+
+let test_plan_regret () =
+  let d = Lazy.force db in
+  List.iter
+    (fun (name, q) ->
+      let naive = Engine.run_naive d q in
+      let opt = Engine.run_optimized (Lazy.force engine) q in
+      check F.relation (name ^ ": same result") naive.Engine.result opt.Engine.result;
+      let c_naive = Counters.total_cost naive.Engine.counters in
+      let c_opt = Counters.total_cost opt.Engine.counters in
+      if c_opt > c_naive then
+        Alcotest.failf "%s: optimized plan charged %.1f, naive %.1f" name c_opt c_naive)
+    regret_queries
+
+let plan_text eng d q =
+  let _, compiled = Engine.optimize_compiled eng (Engine.logical_of_query d q) in
+  Soqm_physical.Plan.compiled_to_string compiled
+
+let contains_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_join_as_path_at_scale () =
+  let d = Db.create ~params:{ Datagen.default with n_docs = 800 } () in
+  let eng = Engine.generate d in
+  let naive = Engine.run_naive d join_q in
+  let opt = Engine.run_optimized eng join_q in
+  check F.relation "same result" naive.Engine.result opt.Engine.result;
+  let c_naive = Counters.total_cost naive.Engine.counters in
+  let c_opt = Counters.total_cost opt.Engine.counters in
+  if c_opt *. 100. > c_naive then
+    Alcotest.failf "join: optimized %.1f is not 100x below naive %.1f" c_opt c_naive;
+  let plan = plan_text eng d join_q in
+  check Alcotest.bool "no nested loop or hash join" false
+    (contains_sub plan "nested_loop" || contains_sub plan "hash_join");
+  (* without inverse-link knowledge the join stays a product *)
+  let classes =
+    List.filter (fun c -> c <> Doc_knowledge.Inverse_links) Doc_knowledge.all_classes
+  in
+  check Alcotest.bool "--disable inverse-links keeps the nested loop" true
+    (contains_sub (plan_text (Engine.generate ~classes d) d join_q) "nested_loop<true>")
+
+let test_trace_shows_normalization () =
+  let d = Lazy.force db in
+  let logical = Engine.logical_of_query d join_q in
+  let res = Engine.optimize (Lazy.force engine) logical in
+  let steps = res.Soqm_optimizer.Search.derivation in
+  check
+    Alcotest.(list string)
+    "derivation opens with the normalization"
+    [ "(input)"; "cross-pushdown"; "inverse-join-to-path[Section.document]" ]
+    (List.filteri (fun i _ -> i < 3)
+       (List.map (fun (st : Soqm_optimizer.Search.step) -> st.Soqm_optimizer.Search.rule) steps));
+  check F.restricted "the trace starts from the query as written"
+    (Restricted.alpha_canonical logical)
+    (List.hd steps).Soqm_optimizer.Search.term
+
+(* ------------------------------------------------------------------ *)
+(* Two-class joins along inverse links vs the naive plan, under DML     *)
+(* ------------------------------------------------------------------ *)
+
+type link = {
+  child : string * string;  (* class, variable: the side with the link *)
+  parent : string * string;  (* class, variable: the link's target *)
+  prop : string;
+  child_filters : string list;
+  parent_filters : string list;
+  cols : string list;
+}
+
+let link_shapes =
+  [
+    {
+      child = ("Section", "s");
+      parent = ("Document", "d");
+      prop = "document";
+      child_filters = [ "s.number < 2"; "s.number == 0" ];
+      parent_filters =
+        [ "d.title == 'Query Optimization'"; "d.title == 'Title 3'"; "d.author == 'Author 2'" ];
+      cols = [ "n: s.number"; "t: d.title"; "st: s.title"; "a: d.author" ];
+    };
+    {
+      child = ("Paragraph", "p");
+      parent = ("Section", "s");
+      prop = "section";
+      child_filters = [ "p.word_count > 300"; "p.number == 1" ];
+      parent_filters = [ "s.number == 0"; "s.title == 'Section 2.1'" ];
+      cols = [ "n: p.number"; "w: p.word_count"; "sn: s.number"; "st: s.title" ];
+    };
+  ]
+
+type dml = Reparent_section | Reparent_paragraph | Delete_document | Orphan_section
+
+let dml_name = function
+  | Reparent_section -> "reparent section"
+  | Reparent_paragraph -> "reparent paragraph"
+  | Delete_document -> "delete document"
+  | Orphan_section -> "insert section with Null document"
+
+let join_case_gen =
+  let open QCheck2.Gen in
+  let* l = oneofl link_shapes in
+  let cc, cv = l.child and pc, pv = l.parent in
+  let* flip_eq = bool and* flip_from = bool in
+  let* cf = opt (oneofl l.child_filters) and* pf = opt (oneofl l.parent_filters) in
+  let* proj =
+    oneof
+      [
+        oneofl [ cv; pv ];
+        map
+          (fun cols -> "[" ^ String.concat ", " (List.sort_uniq compare cols) ^ "]")
+          (list_size (int_range 1 3) (oneofl l.cols));
+      ]
+  in
+  let* dml =
+    list_size (int_bound 3)
+      (pair
+         (oneofl [ Reparent_section; Reparent_paragraph; Delete_document; Orphan_section ])
+         (int_bound 1000))
+  in
+  let eq =
+    if flip_eq then Printf.sprintf "%s == %s.%s" pv cv l.prop
+    else Printf.sprintf "%s.%s == %s" cv l.prop pv
+  in
+  let ranges =
+    let c = Printf.sprintf "%s IN %s" cv cc and p = Printf.sprintf "%s IN %s" pv pc in
+    if flip_from then p ^ ", " ^ c else c ^ ", " ^ p
+  in
+  let conds = eq :: List.filter_map Fun.id [ cf; pf ] in
+  return
+    ( Printf.sprintf "ACCESS %s FROM %s WHERE %s" proj ranges
+        (String.concat " AND " conds),
+      dml )
+
+let apply_dml eng (op, k) =
+  let store = Engine.store eng in
+  let nth cls =
+    match Object_store.extent store cls with
+    | [] -> None
+    | xs -> Some (List.nth xs (k mod List.length xs))
+  in
+  let nth_other cls =
+    match Object_store.extent store cls with
+    | [] -> None
+    | xs -> Some (List.nth xs (k / 7 mod List.length xs))
+  in
+  match op with
+  | Reparent_section -> (
+    match nth "Section", nth_other "Document" with
+    | Some s, Some d -> Engine.update eng s ~prop:"document" (Value.Obj d)
+    | _ -> ())
+  | Reparent_paragraph -> (
+    match nth "Paragraph", nth_other "Section" with
+    | Some p, Some s -> Engine.update eng p ~prop:"section" (Value.Obj s)
+    | _ -> ())
+  | Delete_document -> Option.iter (Engine.delete eng) (nth "Document")
+  | Orphan_section ->
+    ignore
+      (Engine.insert eng ~cls:"Section"
+         [ ("number", Value.Int (k mod 3)); ("title", Value.Str "Section 2.1") ])
+
+let prop_inverse_joins_match_naive =
+  QCheck2.Test.make ~count:60
+    ~name:"inverse-link joins: optimized = naive, across DML"
+    ~print:(fun (q, dml) ->
+      q ^ " / " ^ String.concat ", " (List.map (fun (op, k) -> Printf.sprintf "%s %d" (dml_name op) k) dml))
+    join_case_gen
+    (fun (q, dml) ->
+      let d = Db.create ~params:F.tiny_params () in
+      let eng = Engine.generate d in
+      let agrees () =
+        let opt = Engine.run_optimized eng q in
+        Relation.equal (Engine.run_naive d q).Engine.result opt.Engine.result
+      in
+      (* every shape must take the path rewrite, or the family would not
+         test it *)
+      let rewritten =
+        List.exists
+          (fun (st : Soqm_optimizer.Search.step) ->
+            contains_sub st.Soqm_optimizer.Search.rule "inverse-join-to-path")
+          (Engine.optimize eng (Engine.logical_of_query d q)).Soqm_optimizer.Search.derivation
+      in
+      rewritten
+      && agrees ()
+      && List.for_all
+           (fun op ->
+             apply_dml eng op;
+             agrees ())
+           dml)
+
 let () =
   Alcotest.run "integration"
     [
@@ -498,6 +712,13 @@ let () =
           F.case "dot renders" test_dot_renders;
           F.case "rule statistics" test_rule_statistics;
           F.case "impure methods not optimized" test_impure_method_not_optimized;
+        ] );
+      ( "plan-regret",
+        [
+          F.case "optimized never charges more than naive" test_plan_regret;
+          F.case "join runs as a path at 800 docs" test_join_as_path_at_scale;
+          F.case "trace shows the normalization" test_trace_shows_normalization;
+          QCheck_alcotest.to_alcotest prop_inverse_joins_match_naive;
         ] );
       ( "reports",
         [

@@ -871,6 +871,55 @@ let test_parallel_row_order_all_ops () =
 (* [effective_jobs] clamps to serial for sub-morsel plans and never
    exceeds the host's domain count; a clamped run records no morsels,
    which is what [explain --analyze --jobs N] keys its columns on. *)
+(* A partitioned hash build must spread each partition's keys over its
+   whole table: partitioning on the same low hash bits the tables bucket
+   on leaves every table using only 1/nparts of its buckets. *)
+let test_partitioned_build_fills_buckets () =
+  let n = 20_000 and nparts = 4 in
+  let serial m f = for i = 0 to m - 1 do f i done in
+  let spread name p (st : Hashtbl.statistics) =
+    let used =
+      float_of_int (st.Hashtbl.num_buckets - st.Hashtbl.bucket_histogram.(0))
+      /. float_of_int st.Hashtbl.num_buckets
+    in
+    (* keys spread at random fill 1 - e^-load of the buckets (~45%
+       here); partitioning on the buckets' own bits fills at most 25% *)
+    if used < 0.35 || st.Hashtbl.max_bucket_length > 8 then
+      Alcotest.failf "%s: partition %d uses %.0f%% of %d buckets, longest chain %d"
+        name p (100. *. used) st.Hashtbl.num_buckets st.Hashtbl.max_bucket_length
+  in
+  let total name sizes =
+    check Alcotest.int (name ^ ": one table per partition") nparts
+      (Array.length sizes);
+    check Alcotest.int (name ^ ": every row in some table") n
+      (Array.fold_left ( + ) 0 sizes)
+  in
+  (* single-column keys: the generic table on the value, as ValKeys *)
+  let rows = Array.init n (fun i -> [| Value.Int i |]) in
+  let tables =
+    Exec.partition_build ~nparts ~parallel_for:serial rows
+      (fun r -> Hashtbl.hash r.(0))
+      (fun part ->
+        let tbl = Hashtbl.create (max 16 (Array.length part)) in
+        Array.iter (fun r -> Hashtbl.replace tbl r.(0) ()) part;
+        tbl)
+  in
+  total "value keys" (Array.map Hashtbl.length tables);
+  Array.iteri (fun p t -> spread "value keys" p (Hashtbl.stats t)) tables;
+  (* multi-column keys: whole rows, as RowKeys *)
+  let rows =
+    Array.init n (fun i -> [| Value.Int (i mod 97); Value.Str (string_of_int i) |])
+  in
+  let tables =
+    Exec.partition_build ~nparts ~parallel_for:serial rows Relation.Row.hash
+      (fun part ->
+        let tbl = Relation.RowTbl.create (max 16 (Array.length part)) in
+        Array.iter (fun r -> Relation.RowTbl.replace tbl r ()) part;
+        tbl)
+  in
+  total "row keys" (Array.map Relation.RowTbl.length tables);
+  Array.iteri (fun p t -> spread "row keys" p (Relation.RowTbl.stats t)) tables
+
 let test_effective_jobs () =
   let cores = Domain.recommended_domain_count () in
   let small = Exec.compile (ctx ()) (Plan.FullScan ("d", "Document")) in
@@ -1053,6 +1102,8 @@ let () =
           F.case "row-for-row parity, every operator"
             test_parallel_row_order_all_ops;
           F.case "effective_jobs clamps" test_effective_jobs;
+          F.case "partitioned build fills its tables' buckets"
+            test_partitioned_build_fills_buckets;
         ] );
       ( "cost",
         [
