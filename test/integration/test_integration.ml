@@ -671,6 +671,150 @@ let prop_inverse_joins_match_naive =
              agrees ())
            dml)
 
+(* ------------------------------------------------------------------ *)
+(* Search fingerprint: what the optimizer explores and picks           *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything observable about one cold search of the regret queries at
+   50 documents (Datagen seed 42): how many variants it explored, whether
+   it hit the variant cap, the exact best cost, the chosen logical term,
+   the winning derivation and how often each rule fired.  Speeding up a
+   search step must leave all of it unchanged. *)
+let search_fingerprint res =
+  let open Soqm_optimizer.Search in
+  Printf.sprintf
+    "variants=%d truncated=%b best_cost=%h\nderivation=%s\nfired=%s\n%s"
+    res.variants_explored res.truncated res.best_cost
+    (String.concat " > " (List.map (fun st -> st.rule) res.derivation))
+    (String.concat ", "
+       (List.map (fun (r, n) -> Printf.sprintf "%s:%d" r n) res.rule_applications))
+    (Restricted.to_string res.best_logical)
+
+let fingerprint_db = lazy (Db.create ~params:{ Datagen.default with n_docs = 50 } ())
+
+let expected_fingerprints =
+  [
+    ( "worked",
+      {|variants=1109 truncated=false best_cost=0x1.6066666666667p+5
+derivation=(input) > commute-unary > commute-unary > commute-unary > commute-unary > commute-unary > commute-unary > E2-title-index > commute-unary > E1-document-path/map > inverse-Section.document > commute-unary > commute-unary > inverse-Paragraph.section > hoist-const-membership
+fired=E1-document-path/map:20, E2-title-index:40, commute-unary:274, hoist-const-membership:1, inverse-Paragraph.section:15, inverse-Section.document:20, join-commute:436, path-to-join:140, select-join-interchange:37, select-project-interchange:125
+project<p>(
+  project<p>(
+    select<$6 == TRUE>(
+      map_method<$6, contains_string, p, <"Implementation">>(
+        flat_operator<p, ident, $5>(
+          map_property<$5, paragraphs, $4>(
+            map_operator<$4, ident, $3>(
+              map_property<$3, sections, $2>(
+                map_operator<$2, ident, $1>(
+                  map_method<$1, select_by_index, Document, <"Query Optimization">>(
+                    unit))))))))))|} );
+    ( "title",
+      {|variants=3 truncated=false best_cost=0x1.151eb851eb851p+2
+derivation=(input)
+fired=E2-title-index:1, hoist-const-membership:1
+project<d>(
+  project<d>(
+    select<$1 == "Query Optimization">(
+      map_property<$1, title, d>(
+        get<d, Document>))))|} );
+    ( "large",
+      {|variants=600 truncated=false best_cost=0x1.3ccbd028a1dfcp+11
+derivation=(input) > large-paragraphs > natjoin-to-cascade
+fired=E1-document-path/map:20, commute-unary:83, join-commute:281, large-paragraphs:1, natjoin-to-cascade:3, path-to-join:148, select-join-interchange:12, select-project-interchange:51
+project<p>(
+  project<p>(
+    select<$3 > 500>(
+      map_method<$3, wordCount, p, <>>(
+        select<p IS-IN $2>(
+          map_property<$2, largeParagraphs, $1>(
+            map_method<$1, document, p, <>>(
+              get<p, Paragraph>)))))))|} );
+    ( "join",
+      {|variants=52 truncated=false best_cost=0x1.2666666666665p+4
+derivation=(input) > cross-pushdown > inverse-join-to-path[Section.document] > commute-unary
+fired=E2-title-index:12, commute-unary:35, hoist-const-membership:4
+project<result>(
+  project<d, result, s>(
+    map_operator<result, tuple[n,t], $3, $4>(
+      map_property<$4, title, d>(
+        map_property<$3, number, s>(
+          project<d, s>(
+            flat_property<s, sections, d>(
+              map_operator<$2, ident, d>(
+                select<$1 == "Query Optimization">(
+                  map_property<$1, title, d>(
+                    get<d, Document>))))))))))|} );
+    ( "contains",
+      {|variants=1 truncated=false best_cost=0x1.c4ccccccccccep+4
+derivation=(input)
+fired=
+project<p>(
+  project<p>(
+    select<$1 == TRUE>(
+      map_method<$1, contains_string, p, <"Implementation">>(
+        get<p, Paragraph>))))|} );
+    ( "conj1",
+      {|variants=1 truncated=false best_cost=0x1.0bd70a3d70a3ep+9
+derivation=(input)
+fired=
+project<p>(
+  project<p>(
+    select<$1 > 100>(
+      map_property<$1, word_count, p>(
+        get<p, Paragraph>))))|} );
+    ( "conj2",
+      {|variants=6 truncated=false best_cost=0x1.fb3f2e48e8a72p+9
+derivation=(input)
+fired=commute-unary:5
+project<p>(
+  project<p>(
+    select<$2 > 200>(
+      map_property<$2, word_count, p>(
+        select<$1 > 100>(
+          map_property<$1, word_count, p>(
+            get<p, Paragraph>))))))|} );
+    ( "conj3",
+      {|variants=90 truncated=false best_cost=0x1.252b037d63025p+10
+derivation=(input)
+fired=commute-unary:89
+project<p>(
+  project<p>(
+    select<$3 > 300>(
+      map_property<$3, word_count, p>(
+        select<$2 > 200>(
+          map_property<$2, word_count, p>(
+            select<$1 > 100>(
+              map_property<$1, word_count, p>(
+                get<p, Paragraph>))))))))|} );
+    ( "conj4",
+      {|variants=2500 truncated=true best_cost=0x1.326d2eeca788bp+10
+derivation=(input)
+fired=commute-unary:2513
+project<p>(
+  project<p>(
+    select<$4 > 400>(
+      map_property<$4, word_count, p>(
+        select<$3 > 300>(
+          map_property<$3, word_count, p>(
+            select<$2 > 200>(
+              map_property<$2, word_count, p>(
+                select<$1 > 100>(
+                  map_property<$1, word_count, p>(
+                    get<p, Paragraph>))))))))))|} );
+  ]
+
+let test_search_fingerprint () =
+  let eng = Engine.generate (Lazy.force fingerprint_db) in
+  check Alcotest.(list string) "queries" (List.map fst regret_queries)
+    (List.map fst expected_fingerprints);
+  List.iter
+    (fun (name, q) ->
+      check Alcotest.string name
+        (List.assoc name expected_fingerprints)
+        (search_fingerprint (Engine.optimize_query eng q)))
+    regret_queries
+
 let () =
   Alcotest.run "integration"
     [
@@ -720,6 +864,7 @@ let () =
           F.case "trace shows the normalization" test_trace_shows_normalization;
           QCheck_alcotest.to_alcotest prop_inverse_joins_match_naive;
         ] );
+      ("search-fingerprint", [ F.case "EXP-A mix and conj1-4 at 50 docs" test_search_fingerprint ]);
       ( "reports",
         [
           F.case "report fields" test_report_fields;
