@@ -446,11 +446,12 @@ let wall_clock () =
   let derived_t, derived_i =
     Soqm_semantics.Derive.rules_of_specs schema (Doc_knowledge.specs ())
   in
+  let canonical = Soqm_algebra.Restricted.alpha_canonical logical in
   let cold_optimize () =
     Soqm_optimizer.Search.optimize (Engine.opt_ctx_of db)
       (Soqm_optimizer.Builtin_rules.transformations @ derived_t)
       (Soqm_optimizer.Builtin_rules.implementations @ derived_i)
-      logical
+      canonical
   in
   let tests =
     [

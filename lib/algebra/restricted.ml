@@ -106,8 +106,6 @@ let rec to_general = function
     General.MethodSource
       (a, Expr.Call (Expr.ClassObj cls, m, List.map operand_expr args))
 
-let refs t = General.refs (to_general t)
-
 let rec size = function
   | Unit | Get _ | MethodSource _ -> 1
   | SelectCmp (_, _, _, s)
@@ -184,97 +182,258 @@ let temp_ref () =
 
 let is_temp_ref r = String.length r > 0 && r.[0] = '$'
 
-let rename_operand old_ref new_ref = function
-  | ORef r when String.equal r old_ref -> ORef new_ref
-  | x -> x
+(* Canonical temporary names, shared by every call. *)
+let canonical_names = Array.init 64 (fun i -> "$" ^ string_of_int (i + 1))
 
-let rename_receiver old_ref new_ref = function
-  | RRef r when String.equal r old_ref -> RRef new_ref
-  | x -> x
+let canonical_name i =
+  if i < Array.length canonical_names then canonical_names.(i)
+  else "$" ^ string_of_int (i + 1)
 
-let rec rename_ref ~old_ref ~new_ref t =
-  let rn = rename_ref ~old_ref ~new_ref in
-  let rr r = if String.equal r old_ref then new_ref else r in
-  let ro = rename_operand old_ref new_ref in
-  let rv = rename_receiver old_ref new_ref in
-  match t with
-  | Unit -> Unit
-  | Get (a, c) -> Get (rr a, c)
-  | NaturalJoin (s1, s2) -> NaturalJoin (rn s1, rn s2)
-  | Union (s1, s2) -> Union (rn s1, rn s2)
-  | Diff (s1, s2) -> Diff (rn s1, rn s2)
-  | Cross (s1, s2) -> Cross (rn s1, rn s2)
-  | SelectCmp (c, x, y, s) -> SelectCmp (c, ro x, ro y, rn s)
-  | JoinCmp (c, a1, a2, s1, s2) -> JoinCmp (c, rr a1, rr a2, rn s1, rn s2)
-  | MapProperty (a, p, a1, s) -> MapProperty (rr a, p, rr a1, rn s)
-  | MapMethod (a, m, r, xs, s) -> MapMethod (rr a, m, rv r, List.map ro xs, rn s)
-  | FlatProperty (a, p, a1, s) -> FlatProperty (rr a, p, rr a1, rn s)
-  | FlatMethod (a, m, r, xs, s) -> FlatMethod (rr a, m, rv r, List.map ro xs, rn s)
-  | MapOperator (a, op, xs, s) -> MapOperator (rr a, op, List.map ro xs, rn s)
-  | FlatOperator (a, op, xs, s) -> FlatOperator (rr a, op, List.map ro xs, rn s)
-  | Project (rs, s) -> Project (List.map rr rs, rn s)
-  | MethodSource (a, cls, m, xs) -> MethodSource (rr a, cls, m, List.map ro xs)
+(* Map a list left to right, returning the list itself when [f] returns
+   every element unchanged. *)
+let rec map_shared f = function
+  | [] -> []
+  | x :: rest as l ->
+    let x' = f x in
+    let rest' = map_shared f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
 
-(* Temporary references of a term in a deterministic traversal order:
-   bottom-up (inputs first), then the operator's own references.  A
-   temporary's first occurrence is therefore where it is produced. *)
-let temp_occurrence_order t =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let note r =
-    if is_temp_ref r && not (Hashtbl.mem seen r) then (
-      Hashtbl.replace seen r ();
-      order := r :: !order)
-  in
-  let note_operand = function ORef r -> note r | OConst _ | OParam _ -> () in
-  let note_receiver = function RRef r -> note r | RClass _ -> () in
-  let rec go t =
-    List.iter go (inputs t);
-    match t with
-    | Unit -> ()
-    | Get (a, _) -> note a
-    | MethodSource (a, _, _, xs) ->
-      List.iter note_operand xs;
-      note a
-    | NaturalJoin _ | Union _ | Diff _ | Cross _ -> ()
-    | SelectCmp (_, x, y, _) ->
-      note_operand x;
-      note_operand y
-    | JoinCmp (_, a1, a2, _, _) ->
-      note a1;
-      note a2
-    | MapProperty (a, _, a1, _) | FlatProperty (a, _, a1, _) ->
-      note a1;
-      note a
-    | MapMethod (a, _, r, xs, _) | FlatMethod (a, _, r, xs, _) ->
-      note_receiver r;
-      List.iter note_operand xs;
-      note a
-    | MapOperator (a, _, xs, _) | FlatOperator (a, _, xs, _) ->
-      List.iter note_operand xs;
-      note a
-    | Project (rs, _) -> List.iter note rs
-  in
-  go t;
-  List.rev !order
-
+(* One traversal renames each temporary to [$k], where [k] numbers the
+   temporaries in the order of their first occurrence: inputs first, left
+   to right, then the operator's own references (operands before the
+   target), so a temporary is numbered where it is produced.  The number
+   is fixed on first occurrence, so the renaming is one simultaneous
+   substitution and cannot capture.  Nodes whose references and inputs
+   all come back unchanged are returned as they are: an already canonical
+   term comes back physically unchanged. *)
 let alpha_canonical t =
-  let temps = temp_occurrence_order t in
-  (* two passes so that renaming cannot capture: first move everything to
-     reserved names, then to the canonical ones *)
-  let staged =
-    List.mapi (fun i r -> (r, Printf.sprintf "$stage!%d" i)) temps
+  let olds = ref [||] and news = ref [||] and n = ref 0 in
+  let rename r =
+    if not (is_temp_ref r) then r
+    else
+      let rec find i =
+        if i = !n then (
+          let c = canonical_name i in
+          let c = if String.equal c r then r else c in
+          if i = Array.length !olds then (
+            let grow a = Array.append a (Array.make (max 8 i) r) in
+            olds := grow !olds;
+            news := grow !news);
+          !olds.(i) <- r;
+          !news.(i) <- c;
+          incr n;
+          c)
+        else if String.equal !olds.(i) r then !news.(i)
+        else find (i + 1)
+      in
+      find 0
   in
-  let t =
-    List.fold_left
-      (fun acc (old_ref, new_ref) -> rename_ref ~old_ref ~new_ref acc)
-      t staged
+  let operand = function
+    | ORef r as x ->
+      let r' = rename r in
+      if r' == r then x else ORef r'
+    | x -> x
   in
-  List.fold_left
-    (fun acc (i, (_, staged_name)) ->
-      rename_ref ~old_ref:staged_name ~new_ref:(Printf.sprintf "$%d" (i + 1)) acc)
-    t
-    (List.mapi (fun i x -> (i, x)) staged)
+  let receiver = function
+    | RRef r as x ->
+      let r' = rename r in
+      if r' == r then x else RRef r'
+    | x -> x
+  in
+  let rec go t =
+    match t with
+    | Unit -> t
+    | Get (a, c) ->
+      let a' = rename a in
+      if a' == a then t else Get (a', c)
+    | MethodSource (a, cls, m, xs) ->
+      let xs' = map_shared operand xs in
+      let a' = rename a in
+      if xs' == xs && a' == a then t else MethodSource (a', cls, m, xs')
+    | NaturalJoin (s1, s2) | Union (s1, s2) | Diff (s1, s2) | Cross (s1, s2) ->
+      let s1' = go s1 in
+      let s2' = go s2 in
+      if s1' == s1 && s2' == s2 then t else with_inputs t [ s1'; s2' ]
+    | JoinCmp (c, a1, a2, s1, s2) ->
+      let s1' = go s1 in
+      let s2' = go s2 in
+      let a1' = rename a1 in
+      let a2' = rename a2 in
+      if s1' == s1 && s2' == s2 && a1' == a1 && a2' == a2 then t
+      else JoinCmp (c, a1', a2', s1', s2')
+    | SelectCmp (c, x, y, s) ->
+      let s' = go s in
+      let x' = operand x in
+      let y' = operand y in
+      if s' == s && x' == x && y' == y then t else SelectCmp (c, x', y', s')
+    | MapProperty (a, p, a1, s) | FlatProperty (a, p, a1, s) ->
+      let s' = go s in
+      let a1' = rename a1 in
+      let a' = rename a in
+      if s' == s && a1' == a1 && a' == a then t
+      else (
+        match t with
+        | MapProperty _ -> MapProperty (a', p, a1', s')
+        | _ -> FlatProperty (a', p, a1', s'))
+    | MapMethod (a, m, r, xs, s) | FlatMethod (a, m, r, xs, s) ->
+      let s' = go s in
+      let r' = receiver r in
+      let xs' = map_shared operand xs in
+      let a' = rename a in
+      if s' == s && r' == r && xs' == xs && a' == a then t
+      else (
+        match t with
+        | MapMethod _ -> MapMethod (a', m, r', xs', s')
+        | _ -> FlatMethod (a', m, r', xs', s'))
+    | MapOperator (a, op, xs, s) | FlatOperator (a, op, xs, s) ->
+      let s' = go s in
+      let xs' = map_shared operand xs in
+      let a' = rename a in
+      if s' == s && xs' == xs && a' == a then t
+      else (
+        match t with
+        | MapOperator _ -> MapOperator (a', op, xs', s')
+        | _ -> FlatOperator (a', op, xs', s'))
+    | Project (rs, s) ->
+      let s' = go s in
+      let rs' = map_shared rename rs in
+      if s' == s && rs' == rs then t else Project (rs', s')
+  in
+  go t
+
+(* ------------------------------------------------------------------ *)
+(* References and well-formedness                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference sets are sorted, duplicate-free lists.  A violated side
+   condition raises [Invalid_argument] with a constant message: the
+   search rejects many candidates, and formatting a message for each
+   would cost more than the check. *)
+
+let ill_formed msg = raise (Invalid_argument msg)
+
+let rec union_refs ~disjoint a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    let c = String.compare x y in
+    if c < 0 then x :: union_refs ~disjoint a' b
+    else if c > 0 then y :: union_refs ~disjoint a b'
+    else if disjoint then ill_formed "join arguments must have disjoint references"
+    else x :: union_refs ~disjoint a' b'
+
+let rec add_target a = function
+  | [] -> [ a ]
+  | x :: rest as l ->
+    let c = String.compare a x in
+    if c < 0 then a :: l
+    else if c = 0 then ill_formed "map/flat target reference already present"
+    else x :: add_target a rest
+
+let check_arity op xs =
+  match op, xs with
+  | OpBin _, [ _; _ ] | (OpNot | OpIdent), [ _ ] | OpSet, _ -> ()
+  | OpTuple labels, xs when List.compare_lengths labels xs = 0 -> ()
+  | _ -> ill_formed "Restricted: operator arity mismatch"
+
+let rec check_arities = function
+  | Unit | Get _ | MethodSource _ -> ()
+  | MapOperator (_, op, xs, s) | FlatOperator (_, op, xs, s) ->
+    check_arity op xs;
+    check_arities s
+  | SelectCmp (_, _, _, s)
+  | MapProperty (_, _, _, s)
+  | MapMethod (_, _, _, _, s)
+  | FlatProperty (_, _, _, s)
+  | FlatMethod (_, _, _, _, s)
+  | Project (_, s) ->
+    check_arities s
+  | NaturalJoin (s1, s2)
+  | Union (s1, s2)
+  | Diff (s1, s2)
+  | Cross (s1, s2)
+  | JoinCmp (_, _, _, s1, s2) ->
+    check_arities s1;
+    check_arities s2
+
+(* [Ref(S)] in one bottom-up pass, with the side conditions the general
+   algebra places on the term's translation ({!to_general}).  Always
+   checked, as [General.refs] checks them: operator arities anywhere,
+   equal references under union/diff, disjoint join inputs, fresh
+   map/flat targets.  [~strict] adds the rest of [General.well_formed]:
+   operands, receivers and join/projection references drawn from the
+   input's references, and closed method sources.  Without it a
+   projection's input is only checked for arities, as [General.refs]
+   never looks below a projection. *)
+let need ~strict refs r =
+  if strict && not (List.mem r refs) then
+    ill_formed "operand uses unavailable references"
+
+let avail ~strict refs = function
+  | ORef r -> need ~strict refs r
+  | OConst _ | OParam _ -> ()
+
+let rec scan ~strict t =
+  match t with
+  | Unit -> []
+  | Get (a, _) -> [ a ]
+  | MethodSource (a, _, _, xs) ->
+    if strict && List.exists (function ORef _ -> true | _ -> false) xs then
+      ill_formed "MethodSource expression must be closed (no references)";
+    [ a ]
+  | NaturalJoin (s1, s2) ->
+    let r1 = scan ~strict s1 in
+    union_refs ~disjoint:false r1 (scan ~strict s2)
+  | Union (s1, s2) | Diff (s1, s2) ->
+    let r1 = scan ~strict s1 in
+    if not (List.equal String.equal r1 (scan ~strict s2)) then
+      ill_formed "union/diff arguments must have equal references";
+    r1
+  | Cross (s1, s2) ->
+    let r1 = scan ~strict s1 in
+    union_refs ~disjoint:true r1 (scan ~strict s2)
+  | JoinCmp (_, a1, a2, s1, s2) ->
+    let r1 = scan ~strict s1 in
+    let r = union_refs ~disjoint:true r1 (scan ~strict s2) in
+    need ~strict r a1;
+    need ~strict r a2;
+    r
+  | SelectCmp (_, x, y, s) ->
+    let r = scan ~strict s in
+    avail ~strict r x;
+    avail ~strict r y;
+    r
+  | MapProperty (a, _, a1, s) | FlatProperty (a, _, a1, s) ->
+    let r = scan ~strict s in
+    let r' = add_target a r in
+    need ~strict r a1;
+    r'
+  | MapMethod (a, _, recv, xs, s) | FlatMethod (a, _, recv, xs, s) ->
+    let r = scan ~strict s in
+    let r' = add_target a r in
+    (match recv with RRef x -> need ~strict r x | RClass _ -> ());
+    List.iter (avail ~strict r) xs;
+    r'
+  | MapOperator (a, op, xs, s) | FlatOperator (a, op, xs, s) ->
+    check_arity op xs;
+    let r = scan ~strict s in
+    let r' = add_target a r in
+    List.iter (avail ~strict r) xs;
+    r'
+  | Project (rs, s) ->
+    if strict then (
+      let r = scan ~strict s in
+      if not (List.for_all (fun x -> List.mem x r) rs) then
+        ill_formed "projection references not all present")
+    else check_arities s;
+    List.sort_uniq String.compare rs
+
+let refs t = scan ~strict:false t
+
+let well_formed t =
+  match scan ~strict:true t with
+  | r -> Ok r
+  | exception Invalid_argument msg -> Error msg
 
 (* Static typing of references, mirroring the set-lifted access
    semantics of the runtime. *)

@@ -81,7 +81,18 @@ val to_general : t -> General.t
     algebra (the paper's substitution table read right-to-left). *)
 
 val refs : t -> string list
-(** [Ref(S)] of the term (sorted). *)
+(** [Ref(S)] of the term (sorted), in one pass: the references of the
+    term's meaning {!to_general}, with the checks [General.refs] makes.
+    @raise Invalid_argument where [General.refs (to_general t)] raises:
+    an operator's arity mismatch anywhere, union/diff arguments with
+    differing references, join arguments sharing a reference, a map/flat
+    target already present. *)
+
+val well_formed : t -> (string list, string) result
+(** [Ok (refs t)] when the term's meaning satisfies every side condition
+    of [General.well_formed], [Error] naming the first violation (inputs
+    before their consumer) otherwise.  One bottom-up pass; the verdict is
+    that of [General.well_formed (to_general t)]. *)
 
 val size : t -> int
 val subtrees : t -> t list
@@ -101,16 +112,13 @@ val temp_ref : unit -> string
 
 val is_temp_ref : string -> bool
 
-val rename_ref : old_ref:string -> new_ref:string -> t -> t
-(** Rename a reference throughout the term (targets, operands, receivers,
-    join and projection lists). *)
-
 val alpha_canonical : t -> t
 (** Rename every compiler-generated temporary reference to [$1], [$2], ...
     in first-occurrence order of a deterministic traversal.  Two terms that
     differ only in the names of their temporaries canonicalize to the same
     term; the optimizer's search deduplicates modulo this renaming.  User
-    references (parser identifiers) are left untouched. *)
+    references (parser identifiers) are left untouched.  One traversal;
+    an already canonical term is returned physically unchanged. *)
 
 val infer : Schema.t -> t -> (string * Vtype.t) list
 (** Best-effort static types of the term's references, for

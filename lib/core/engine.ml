@@ -332,7 +332,7 @@ let optimize_entry t logical =
     Counters.charge_plan_cache_miss counters;
     let result =
       Search.optimize ~config:t.config ~inverse_links:t.inverse_links t.opt_ctx
-        t.transformations t.implementations logical
+        t.transformations t.implementations key
     in
     evict_lru t;
     let entry =

@@ -216,12 +216,6 @@ and match_mexpr t pat (m : mexpr) b : Pattern.bindings list =
 let count_exprs (t : t) =
   Hashtbl.fold (fun _ (g : group) acc -> acc + List.length g.exprs) t.groups 0
 
-let admissible g cand =
-  match General.well_formed (Restricted.to_general cand) with
-  | Ok () -> (
-    try Restricted.refs cand = g.grefs with Invalid_argument _ -> false)
-  | Error _ | (exception Invalid_argument _) -> false
-
 let seed_of name term =
   Hashtbl.hash (name, Restricted.to_string term) land 0xFFFFFF
 
@@ -288,7 +282,7 @@ let explore ?(max_exprs = 5000) t =
                            references are concrete names, and renaming
                            temporaries would break the per-group Ref(S)
                            invariant *)
-                        if admissible g cand then (
+                        if Search.admissible ~want_refs:g.grefs cand then (
                           let before_exprs = count_exprs t in
                           let before_merges = t.merges in
                           ignore (insert_into t ~target:g.gid cand);

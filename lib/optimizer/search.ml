@@ -17,30 +17,34 @@ type result = {
   rule_applications : (string * int) list;
 }
 
-(* All single-step rewrites of [term] by [f] applied at every node. *)
-let rec rewrites_everywhere f term =
-  let at_root = f term in
-  let ins = Restricted.inputs term in
-  let in_inputs =
-    List.concat
-      (List.mapi
-         (fun i input ->
-           List.map
-             (fun input' ->
-               Restricted.with_inputs term
-                 (List.mapi (fun j x -> if i = j then input' else x) ins))
-             (rewrites_everywhere f input))
-         ins)
+(* Every node position of [term] in preorder — the root, then input 0's
+   positions, then input 1's — each with the function that rebuilds
+   [term] around a replacement for the subterm there.  Computed once per
+   variant and shared by every rule. *)
+let rewrite_sites term =
+  let rec go acc sub rebuild =
+    let acc = (sub, rebuild) :: acc in
+    match Restricted.inputs sub with
+    | [ s ] -> go acc s (fun s' -> rebuild (Restricted.with_inputs sub [ s' ]))
+    | [ s1; s2 ] ->
+      let acc = go acc s1 (fun s1' -> rebuild (Restricted.with_inputs sub [ s1'; s2 ])) in
+      go acc s2 (fun s2' -> rebuild (Restricted.with_inputs sub [ s1; s2' ]))
+    | _ -> acc
   in
-  at_root @ in_inputs
+  List.rev (go [] term Fun.id)
+
+(* All single-step rewrites of a term by [f] applied at every site, passed
+   to [emit] in site order and, at each site, in [f]'s order; only emitted
+   candidates rebuild the spine above their site. *)
+let rewrites_everywhere f sites emit =
+  List.iter (fun (sub, rebuild) -> List.iter (fun r -> emit (rebuild r)) (f sub)) sites
 
 (* A rewrite is admissible when the resulting tree is still well-formed
    and presents the same references to its consumer. *)
 let admissible ~want_refs cand =
-  match General.well_formed (Restricted.to_general cand) with
-  | Ok () -> ( try Restricted.refs cand = want_refs with Invalid_argument _ -> false)
+  match Restricted.well_formed cand with
+  | Ok refs -> List.equal String.equal refs want_refs
   | Error _ -> false
-  | exception Invalid_argument _ -> false
 
 module SSet = Set.Make (String)
 
@@ -50,8 +54,8 @@ type node = {
   once_used : SSet.t;
 }
 
+(* [term0] is alpha-canonical. *)
 let saturate_nodes ~config schema rules term0 =
-  let term0 = Restricted.alpha_canonical term0 in
   let want_refs = Restricted.refs term0 in
   let size_limit = Restricted.size term0 + config.max_size_slack in
   let fired : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -79,14 +83,12 @@ let saturate_nodes ~config schema rules term0 =
   while !i < !count do
     let idx = !i in
     let node = !nodes.(idx) in
+    let sites = rewrite_sites node.term in
     List.iter
       (fun (rule : Rule.transformation) ->
         if not (rule.Rule.t_apply_once && SSet.mem rule.Rule.t_name node.once_used)
         then
-          let results =
-            rewrites_everywhere (Rule.root_rewrites schema rule) node.term
-          in
-          List.iter
+          rewrites_everywhere (Rule.root_rewrites schema rule) sites
             (fun cand ->
               let cand = Restricted.alpha_canonical cand in
               if not (Restricted.Tbl.mem examined cand) then (
@@ -103,8 +105,7 @@ let saturate_nodes ~config schema rules term0 =
                         (if rule.Rule.t_apply_once then
                            SSet.add rule.Rule.t_name node.once_used
                          else node.once_used);
-                    })))
-            results)
+                    }))))
       rules;
     incr i
   done;
@@ -115,7 +116,9 @@ let saturate_nodes ~config schema rules term0 =
   (Array.to_list (Array.sub !nodes 0 !count), !truncated, !nodes, rule_applications)
 
 let saturate ?(config = default_config) schema rules term0 =
-  let variants, truncated, _, _ = saturate_nodes ~config schema rules term0 in
+  let variants, truncated, _, _ =
+    saturate_nodes ~config schema rules (Restricted.alpha_canonical term0)
+  in
   (List.map (fun n -> n.term) variants, truncated)
 
 (* ------------------------------------------------------------------ *)
@@ -163,31 +166,36 @@ let structural_roots (term : Restricted.t) (input_plans : Plan.t list) :
 
 exception No_plan of string
 
-(* The memo stores [Some (plan, cost)] for implementable terms and [None]
-   for terms known to have no plan: without the negative entries, a
+(* The memo stores [Some (plan, analysis)] for implementable terms and
+   [None] for terms known to have no plan: without the negative entries, a
    subterm that raises [No_plan] is re-derived from scratch for every one
-   of the (up to [max_variants]) logical variants that contains it. *)
+   of the (up to [max_variants]) logical variants that contains it.  Each
+   candidate plan is costed reusing the analyses of the memoized sub-plans
+   it was built from, so only its new root operators are analysed. *)
 let implement_memo (ctx : Rule.opt_ctx) impls memo =
-  let rec best (term : Restricted.t) : Plan.t * float =
+  let rec best (term : Restricted.t) : Plan.t * Cost.analysis =
     match Restricted.Tbl.find_opt memo term with
-    | Some (Some pc) -> pc
+    | Some (Some pa) -> pa
     | Some None ->
       raise
         (No_plan (Format.asprintf "no implementation for %a" Restricted.pp term))
     | None ->
       let chosen =
         try
-          let input_plans =
-            List.map (fun t -> fst (best t)) (Restricted.inputs term)
+          let inputs = List.map best (Restricted.inputs term) in
+          let reuse = ref inputs in
+          let sub_plan sub =
+            let ((plan, _) as pa) = best sub in
+            reuse := pa :: !reuse;
+            plan
           in
-          let structural = structural_roots term input_plans in
+          let structural = structural_roots term (List.map fst inputs) in
           let from_rules =
             List.concat_map
               (fun (r : Rule.implementation) ->
                 List.filter_map
                   (fun b ->
-                    try r.Rule.i_build ctx b (fun sub -> fst (best sub))
-                    with No_plan _ -> None)
+                    try r.Rule.i_build ctx b sub_plan with No_plan _ -> None)
                   (Pattern.matches ctx.Rule.schema r.Rule.i_lhs term))
               impls
           in
@@ -195,11 +203,13 @@ let implement_memo (ctx : Rule.opt_ctx) impls memo =
           (* branch-and-bound over the candidate list: keep the cheapest *)
           List.fold_left
             (fun acc plan ->
-              let c = Cost.cost ctx.Rule.stats plan in
+              let a = Cost.analyze ~reuse:!reuse ctx.Rule.stats plan in
+              let c = (Cost.analysis_estimate a).Cost.cost in
               match acc with
-              | Some (_, best_c) when best_c <= c -> acc
-              | _ -> Some (plan, c))
+              | Some (_, _, best_c) when best_c <= c -> acc
+              | _ -> Some (plan, a, c))
             None candidates
+          |> Option.map (fun (plan, a, _) -> (plan, a))
         with No_plan _ ->
           (* a structurally-required input has no plan, so neither has
              this term *)
@@ -207,13 +217,15 @@ let implement_memo (ctx : Rule.opt_ctx) impls memo =
       in
       Restricted.Tbl.replace memo term chosen;
       (match chosen with
-      | Some pc -> pc
+      | Some pa -> pa
       | None ->
         raise
           (No_plan
              (Format.asprintf "no implementation for %a" Restricted.pp term)))
   in
-  best
+  fun term ->
+    let plan, a = best term in
+    (plan, (Cost.analysis_estimate a).Cost.cost)
 
 let implement_only ctx impls term =
   let memo = Restricted.Tbl.create 64 in
@@ -221,7 +233,6 @@ let implement_only ctx impls term =
 
 let optimize ?(config = default_config) ?(inverse_links = []) (ctx : Rule.opt_ctx)
     rules impls term0 =
-  let term0 = Restricted.alpha_canonical term0 in
   (* the normalization's steps lead the derivation; a result that would
      not be admissible (it never should be) is dropped, not searched *)
   let prelude =

@@ -67,10 +67,20 @@ val optimize :
   Rule.implementation list ->
   Restricted.t ->
   result
-(** Optimize a term.  [inverse_links] (default none) lists the
-    [(class, property)] links whose inverse-link knowledge is declared;
-    before the search, {!Builtin_rules.normalize} turns joins along them
-    into path navigation, and its steps lead the [derivation]. *)
+(** Optimize a term, which must be alpha-canonical
+    ({!Restricted.alpha_canonical}; the engine's plan-cache key is): the
+    search deduplicates its variants in that form and does not
+    canonicalize its input again.  [inverse_links] (default none) lists
+    the [(class, property)] links whose inverse-link knowledge is
+    declared; before the search, {!Builtin_rules.normalize} turns joins
+    along them into path navigation, and its steps lead the
+    [derivation]. *)
+
+val admissible : want_refs:string list -> Restricted.t -> bool
+(** A rewrite result is admissible when it is still well-formed
+    ({!Restricted.well_formed}) and presents the references [want_refs]
+    of the term it replaces to its consumer; shared with the memo
+    engine. *)
 
 val structural_roots : Restricted.t -> Plan.t list -> Plan.t list
 (** The default structural implementation(s) of a term's root operator

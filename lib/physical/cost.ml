@@ -116,7 +116,16 @@ let merge_infos i1 i2 e =
     consts = List.sort_uniq String.compare (i1.consts @ i2.consts);
   }
 
-let rec analyze stats (plan : Plan.t) : info =
+type analysis = info
+
+(* [known] pairs already-analysed sub-plans with their analyses; a
+   sub-plan found there (by physical equality) is not analysed again. *)
+let rec analyze known stats (plan : Plan.t) : info =
+  match List.assq_opt plan known with
+  | Some i -> i
+  | None -> analyze_node known stats plan
+
+and analyze_node known stats (plan : Plan.t) : info =
   match plan with
   | Plan.Unit -> { e = { card = 1.0; cost = 0.0 }; prov = []; consts = [] }
   | Plan.FullScan (a, cls) ->
@@ -164,7 +173,7 @@ let rec analyze stats (plan : Plan.t) : info =
       consts = [];
     }
   | Plan.Filter (c, x, y, input) ->
-    let i = analyze stats input in
+    let i = analyze known stats input in
     let sel = cmp_selectivity stats i.prov c x y in
     {
       i with
@@ -177,7 +186,7 @@ let rec analyze stats (plan : Plan.t) : info =
         };
     }
   | Plan.NestedLoop (pred, p1, p2) ->
-    let i1 = analyze stats p1 and i2 = analyze stats p2 in
+    let i1 = analyze known stats p1 and i2 = analyze known stats p2 in
     let raw = i1.e.card *. i2.e.card in
     let sel = match pred with None -> 1.0 | Some (Restricted.CEq, _, _) -> 1.0 /. Float.max 1.0 (Float.max i1.e.card i2.e.card) | Some _ -> 0.33 in
     merge_infos i1 i2
@@ -188,7 +197,7 @@ let rec analyze stats (plan : Plan.t) : info =
           +. block_dispatch (raw *. sel);
       }
   | Plan.HashJoin (_, _, p1, p2) ->
-    let i1 = analyze stats p1 and i2 = analyze stats p2 in
+    let i1 = analyze known stats p1 and i2 = analyze known stats p2 in
     let card = Float.min i1.e.card i2.e.card in
     merge_infos i1 i2
       {
@@ -199,7 +208,7 @@ let rec analyze stats (plan : Plan.t) : info =
           +. block_dispatch card;
       }
   | Plan.NaturalJoin (p1, p2) ->
-    let i1 = analyze stats p1 and i2 = analyze stats p2 in
+    let i1 = analyze known stats p1 and i2 = analyze known stats p2 in
     let card = Float.min i1.e.card i2.e.card in
     merge_infos i1 i2
       {
@@ -210,7 +219,7 @@ let rec analyze stats (plan : Plan.t) : info =
           +. block_dispatch card;
       }
   | Plan.Union (p1, p2) ->
-    let i1 = analyze stats p1 and i2 = analyze stats p2 in
+    let i1 = analyze known stats p1 and i2 = analyze known stats p2 in
     merge_infos i1 i2
       {
         card = i1.e.card +. i2.e.card;
@@ -218,14 +227,14 @@ let rec analyze stats (plan : Plan.t) : info =
           i1.e.cost +. i2.e.cost +. block_dispatch (i1.e.card +. i2.e.card);
       }
   | Plan.Diff (p1, p2) ->
-    let i1 = analyze stats p1 and i2 = analyze stats p2 in
+    let i1 = analyze known stats p1 and i2 = analyze known stats p2 in
     merge_infos i1 i2
       {
         card = i1.e.card;
         cost = i1.e.cost +. i2.e.cost +. block_dispatch i1.e.card;
       }
   | Plan.MapProp (a, p, a1, input) | Plan.FlatProp (a, p, a1, input) ->
-    let i = analyze stats input in
+    let i = analyze known stats input in
     let recv_prov = Option.value ~default:POther (List.assoc_opt a1 i.prov) in
     let result_prov = access_prov stats recv_prov p in
     let const = List.mem a1 i.consts in
@@ -263,7 +272,7 @@ let rec analyze stats (plan : Plan.t) : info =
       consts = (if const then a :: i.consts else i.consts);
     }
   | Plan.MapMeth (a, m, recv, args, input) | Plan.FlatMeth (a, m, recv, args, input) ->
-    let i = analyze stats input in
+    let i = analyze known stats input in
     let own, cls_opt, recv_const =
       match recv with
       | Restricted.RClass c -> (true, Some c, true)
@@ -318,7 +327,7 @@ let rec analyze stats (plan : Plan.t) : info =
       consts = (if const then a :: i.consts else i.consts);
     }
   | Plan.MapOp (a, op, xs, input) ->
-    let i = analyze stats input in
+    let i = analyze known stats input in
     let const = List.for_all (is_const_operand i.consts) xs in
     (* identity preserves its operand's provenance; other operators
        produce scalars we know nothing about *)
@@ -338,7 +347,7 @@ let rec analyze stats (plan : Plan.t) : info =
       consts = (if const then a :: i.consts else i.consts);
     }
   | Plan.FlatOp (a, _, xs, input) ->
-    let i = analyze stats input in
+    let i = analyze known stats input in
     let k =
       match xs with
       | [ x ] -> (
@@ -365,7 +374,7 @@ let rec analyze stats (plan : Plan.t) : info =
       consts = i.consts;
     }
   | Plan.Project (rs, input) ->
-    let i = analyze stats input in
+    let i = analyze known stats input in
     {
       e =
         {
@@ -377,5 +386,7 @@ let rec analyze stats (plan : Plan.t) : info =
       consts = List.filter (fun r -> List.mem r rs) i.consts;
     }
 
+let analysis_estimate (a : analysis) = a.e
+let analyze ?(reuse = []) stats plan = analyze reuse stats plan
 let estimate stats plan = (analyze stats plan).e
 let cost stats plan = (estimate stats plan).cost

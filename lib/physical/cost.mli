@@ -17,6 +17,19 @@ type estimate = {
   cost : float;  (** estimated total cost, in object-fetch units *)
 }
 
+type analysis
+(** What the model derives for a plan: its estimate, and what is known
+    about the values its references hold. *)
+
+val analyze : ?reuse:(Plan.t * analysis) list -> Statistics.t -> Plan.t -> analysis
+(** Analyse a plan bottom-up.  A sub-plan physically equal to one paired
+    in [reuse] takes that analysis instead of being analysed again.  The
+    analysis is a function of the statistics and the plan alone, so the
+    result — every float of it — is the one a full analysis gives; only
+    the operators above the reused sub-plans are analysed. *)
+
+val analysis_estimate : analysis -> estimate
+
 val estimate : Statistics.t -> Plan.t -> estimate
 
 val cost : Statistics.t -> Plan.t -> float

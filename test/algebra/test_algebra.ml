@@ -693,6 +693,272 @@ let prop_roundtrip_general =
       Relation.equal (run g)
         (run (Restricted.to_general (Translate.of_general g))))
 
+(* ------------------------------------------------------------------ *)
+(* One-pass canonicalization and reference checking                    *)
+(* ------------------------------------------------------------------ *)
+
+module R = Restricted
+
+(* The two-pass canonicalization [Restricted.alpha_canonical] replaced,
+   kept as the oracle: collect the temporaries in first-occurrence order,
+   rename each to a reserved staging name, then each staging name to its
+   canonical [$k] — one whole-term pass per temporary and name. *)
+module Two_pass = struct
+  let rename_operand old_ref new_ref = function
+    | R.ORef r when String.equal r old_ref -> R.ORef new_ref
+    | x -> x
+
+  let rename_receiver old_ref new_ref = function
+    | R.RRef r when String.equal r old_ref -> R.RRef new_ref
+    | x -> x
+
+  let rec rename_ref ~old_ref ~new_ref t =
+    let rn = rename_ref ~old_ref ~new_ref in
+    let rr r = if String.equal r old_ref then new_ref else r in
+    let ro = rename_operand old_ref new_ref in
+    let rv = rename_receiver old_ref new_ref in
+    match t with
+    | R.Unit -> R.Unit
+    | R.Get (a, c) -> R.Get (rr a, c)
+    | R.NaturalJoin (s1, s2) -> R.NaturalJoin (rn s1, rn s2)
+    | R.Union (s1, s2) -> R.Union (rn s1, rn s2)
+    | R.Diff (s1, s2) -> R.Diff (rn s1, rn s2)
+    | R.Cross (s1, s2) -> R.Cross (rn s1, rn s2)
+    | R.SelectCmp (c, x, y, s) -> R.SelectCmp (c, ro x, ro y, rn s)
+    | R.JoinCmp (c, a1, a2, s1, s2) -> R.JoinCmp (c, rr a1, rr a2, rn s1, rn s2)
+    | R.MapProperty (a, p, a1, s) -> R.MapProperty (rr a, p, rr a1, rn s)
+    | R.MapMethod (a, m, r, xs, s) -> R.MapMethod (rr a, m, rv r, List.map ro xs, rn s)
+    | R.FlatProperty (a, p, a1, s) -> R.FlatProperty (rr a, p, rr a1, rn s)
+    | R.FlatMethod (a, m, r, xs, s) -> R.FlatMethod (rr a, m, rv r, List.map ro xs, rn s)
+    | R.MapOperator (a, op, xs, s) -> R.MapOperator (rr a, op, List.map ro xs, rn s)
+    | R.FlatOperator (a, op, xs, s) -> R.FlatOperator (rr a, op, List.map ro xs, rn s)
+    | R.Project (rs, s) -> R.Project (List.map rr rs, rn s)
+    | R.MethodSource (a, cls, m, xs) -> R.MethodSource (rr a, cls, m, List.map ro xs)
+
+  let temp_occurrence_order t =
+    let seen = Hashtbl.create 16 in
+    let order = ref [] in
+    let note r =
+      if R.is_temp_ref r && not (Hashtbl.mem seen r) then (
+        Hashtbl.replace seen r ();
+        order := r :: !order)
+    in
+    let note_operand = function R.ORef r -> note r | R.OConst _ | R.OParam _ -> () in
+    let note_receiver = function R.RRef r -> note r | R.RClass _ -> () in
+    let rec go t =
+      List.iter go (R.inputs t);
+      match t with
+      | R.Unit -> ()
+      | R.Get (a, _) -> note a
+      | R.MethodSource (a, _, _, xs) ->
+        List.iter note_operand xs;
+        note a
+      | R.NaturalJoin _ | R.Union _ | R.Diff _ | R.Cross _ -> ()
+      | R.SelectCmp (_, x, y, _) ->
+        note_operand x;
+        note_operand y
+      | R.JoinCmp (_, a1, a2, _, _) ->
+        note a1;
+        note a2
+      | R.MapProperty (a, _, a1, _) | R.FlatProperty (a, _, a1, _) ->
+        note a1;
+        note a
+      | R.MapMethod (a, _, r, xs, _) | R.FlatMethod (a, _, r, xs, _) ->
+        note_receiver r;
+        List.iter note_operand xs;
+        note a
+      | R.MapOperator (a, _, xs, _) | R.FlatOperator (a, _, xs, _) ->
+        List.iter note_operand xs;
+        note a
+      | R.Project (rs, _) -> List.iter note rs
+    in
+    go t;
+    List.rev !order
+
+  let alpha_canonical t =
+    let temps = temp_occurrence_order t in
+    let staged = List.mapi (fun i r -> (r, Printf.sprintf "$stage!%d" i)) temps in
+    let t =
+      List.fold_left
+        (fun acc (old_ref, new_ref) -> rename_ref ~old_ref ~new_ref acc)
+        t staged
+    in
+    List.fold_left
+      (fun acc (i, (_, staged_name)) ->
+        rename_ref ~old_ref:staged_name ~new_ref:(Printf.sprintf "$%d" (i + 1)) acc)
+      t
+      (List.mapi (fun i x -> (i, x)) staged)
+end
+
+(* Arbitrary restricted terms, well-formed or not: every reference
+   position draws from [ref_gen], operator arities are random, and
+   method sources may take reference arguments. *)
+let restricted_gen ref_gen =
+  let open QCheck2.Gen in
+  let operand =
+    frequency
+      [
+        (3, map (fun r -> R.ORef r) ref_gen);
+        (1, return (R.OConst (Value.Int 7)));
+        (1, return (R.OParam "x"));
+      ]
+  in
+  let operands = list_size (int_bound 3) operand in
+  let receiver =
+    oneof [ map (fun r -> R.RRef r) ref_gen; return (R.RClass "Paragraph") ]
+  in
+  let cmp = oneofl [ R.CEq; R.CLt; R.CIsIn ] in
+  let opname =
+    oneofl [ R.OpBin Expr.Add; R.OpNot; R.OpIdent; R.OpTuple [ "l"; "m" ]; R.OpSet ]
+  in
+  let refs_list =
+    frequency [ (4, list_size (int_bound 4) ref_gen); (1, list_size (int_range 60 90) ref_gen) ]
+  in
+  sized_size (int_bound 10)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return R.Unit;
+               map2 (fun a c -> R.Get (a, c)) ref_gen (oneofl [ "Document"; "Paragraph" ]);
+               map2
+                 (fun a xs -> R.MethodSource (a, "Paragraph", "retrieve_by_string", xs))
+                 ref_gen operands;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           let one = self (n - 1) and two = self (n / 2) in
+           frequency
+             [
+               (1, leaf);
+               (1, map2 (fun a b -> R.NaturalJoin (a, b)) two two);
+               (1, map2 (fun a b -> R.Union (a, b)) two two);
+               (1, map2 (fun a b -> R.Diff (a, b)) two two);
+               (1, map2 (fun a b -> R.Cross (a, b)) two two);
+               ( 1,
+                 let+ c = cmp and+ a1 = ref_gen and+ a2 = ref_gen and+ s1 = two
+                 and+ s2 = two in
+                 R.JoinCmp (c, a1, a2, s1, s2) );
+               ( 2,
+                 let+ c = cmp and+ x = operand and+ y = operand and+ s = one in
+                 R.SelectCmp (c, x, y, s) );
+               ( 2,
+                 let+ flat = bool and+ a = ref_gen and+ a1 = ref_gen and+ s = one in
+                 if flat then R.FlatProperty (a, "sections", a1, s)
+                 else R.MapProperty (a, "title", a1, s) );
+               ( 2,
+                 let+ flat = bool and+ a = ref_gen and+ r = receiver and+ xs = operands
+                 and+ s = one in
+                 if flat then R.FlatMethod (a, "paragraphs", r, xs, s)
+                 else R.MapMethod (a, "contains_string", r, xs, s) );
+               ( 2,
+                 let+ flat = bool and+ a = ref_gen and+ op = opname and+ xs = operands
+                 and+ s = one in
+                 if flat then R.FlatOperator (a, op, xs, s) else R.MapOperator (a, op, xs, s) );
+               (2, map2 (fun rs s -> R.Project (rs, s)) refs_list one);
+             ])
+
+(* Temporaries of every shape the optimizer produces — translator names,
+   canonical names and rule-instantiated ones — plus user references;
+   enough distinct names that a term can hold more than 64 temporaries. *)
+let many_refs_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (1, oneofl [ "p"; "d"; "s" ]);
+      (3, map (Printf.sprintf "$%d") (int_range 1 120));
+      (1, map (Printf.sprintf "$commute.x.%d") (int_bound 40));
+    ]
+
+(* Few names, so that references collide and the side conditions both
+   hold and fail. *)
+let few_refs_gen = QCheck2.Gen.oneofl [ "a"; "b"; "$1"; "$2" ]
+
+let print_restricted t = R.to_string t
+
+let prop_alpha_matches_two_pass =
+  QCheck2.Test.make ~count:500 ~print:print_restricted
+    ~name:"alpha_canonical = the two-pass renaming"
+    (restricted_gen many_refs_gen)
+    (fun t -> R.equal (R.alpha_canonical t) (Two_pass.alpha_canonical t))
+
+let prop_alpha_idempotent_physically =
+  QCheck2.Test.make ~count:500 ~print:print_restricted
+    ~name:"alpha_canonical is idempotent and keeps canonical terms physically"
+    (restricted_gen many_refs_gen)
+    (fun t ->
+      let once = R.alpha_canonical t in
+      R.alpha_canonical once == once)
+
+(* The verdicts of the general-algebra route the one-pass checks replace:
+   translate, then [General.well_formed] / [General.refs]. *)
+let general_well_formed t =
+  match R.to_general t with
+  | exception Invalid_argument _ -> Error ()
+  | g -> ( match General.well_formed g with Ok () -> Ok (General.refs g) | Error _ -> Error ())
+
+let general_refs t =
+  match General.refs (R.to_general t) with r -> Some r | exception Invalid_argument _ -> None
+
+let prop_refs_match_general =
+  QCheck2.Test.make ~count:1000 ~print:print_restricted
+    ~name:"one-pass refs and well_formed = the General route"
+    QCheck2.Gen.(
+      oneof
+        [
+          restricted_gen few_refs_gen;
+          map
+            (fun g -> Translate.of_general (General.Project (General.refs g, g)))
+            Soqm_testlib.Gen.term_gen;
+        ])
+    (fun t ->
+      let refs = match R.refs t with r -> Some r | exception Invalid_argument _ -> None in
+      refs = general_refs t
+      && Result.map_error ignore (R.well_formed t) = general_well_formed t)
+
+let test_alpha_beyond_64_temporaries () =
+  let temps = List.init 70 (fun i -> Printf.sprintf "$%d" (200 - i)) in
+  let t = R.Project (temps, R.Get (List.hd temps, "Paragraph")) in
+  let canon = R.alpha_canonical t in
+  check F.restricted "matches the two-pass renaming" (Two_pass.alpha_canonical t) canon;
+  check (Alcotest.list Alcotest.string) "numbered in occurrence order"
+    (List.init 70 (fun i -> Printf.sprintf "$%d" (i + 1)))
+    (match canon with R.Project (rs, _) -> rs | _ -> []);
+  check Alcotest.bool "canonical input returned physically" true
+    (R.alpha_canonical canon == canon)
+
+(* One term per side condition: each is ill-formed by both routes. *)
+let test_ill_formed_cases () =
+  let p = R.Get ("p", "Paragraph") and d = R.Get ("d", "Document") in
+  let cases =
+    [
+      ("join sides share refs", R.Cross (p, R.Get ("p", "Document")));
+      ("union differing refs", R.Union (p, d));
+      ("diff differing refs", R.Diff (p, d));
+      ("map reuses a ref", R.MapProperty ("p", "title", "p", p));
+      ("flat reuses a ref", R.FlatOperator ("p", R.OpSet, [], p));
+      ("select operand unavailable", R.SelectCmp (R.CEq, R.ORef "q", R.OConst (Value.Int 1), p));
+      ("join operand unavailable", R.JoinCmp (R.CEq, "p", "q", p, d));
+      ( "method source with ref argument",
+        R.MethodSource ("q", "Paragraph", "retrieve_by_string", [ R.ORef "p" ]) );
+      ("operator arity mismatch", R.MapOperator ("x", R.OpBin Expr.Add, [ R.ORef "p" ], p));
+      ("projection ref missing", R.Project ([ "q" ], p));
+    ]
+  in
+  List.iter
+    (fun (name, t) ->
+      check Alcotest.bool (name ^ ": General route") true (Result.is_error (general_well_formed t));
+      check Alcotest.bool (name ^ ": one pass") true (Result.is_error (R.well_formed t)))
+    cases;
+  (* [refs] checks only what [General.refs] checks: not below projections *)
+  check (Alcotest.list Alcotest.string) "refs of a projection over an ill-formed input"
+    [ "p" ]
+    (R.refs (R.Project ([ "p" ], R.Union (p, d))));
+  Alcotest.check_raises "arity is checked below projections too"
+    (Invalid_argument "Restricted: operator arity mismatch") (fun () ->
+      ignore (R.refs (R.Project ([ "p" ], R.MapOperator ("x", R.OpNot, [], p)))))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_translate_preserves; prop_translate_refs; prop_roundtrip_general ]
@@ -774,5 +1040,16 @@ let () =
           F.case "swapped equality join" test_translate_flips_join_comparison;
           F.case "ordering join flip" test_translate_lt_join_flip;
         ] );
+      ( "one-pass",
+        [
+          F.case "ill-formed cases" test_ill_formed_cases;
+          F.case "more than 64 temporaries" test_alpha_beyond_64_temporaries;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_alpha_matches_two_pass;
+              prop_alpha_idempotent_physically;
+              prop_refs_match_general;
+            ] );
       ("properties", qcheck_tests);
     ]
