@@ -39,8 +39,6 @@ let rewrite_sites term =
 let rewrites_everywhere f sites emit =
   List.iter (fun (sub, rebuild) -> List.iter (fun r -> emit (rebuild r)) (f sub)) sites
 
-(* A rewrite is admissible when the resulting tree is still well-formed
-   and presents the same references to its consumer. *)
 let admissible ~want_refs cand =
   match Restricted.well_formed cand with
   | Ok refs -> List.equal String.equal refs want_refs

@@ -875,16 +875,14 @@ let many_refs_gen =
    hold and fail. *)
 let few_refs_gen = QCheck2.Gen.oneofl [ "a"; "b"; "$1"; "$2" ]
 
-let print_restricted t = R.to_string t
-
 let prop_alpha_matches_two_pass =
-  QCheck2.Test.make ~count:500 ~print:print_restricted
+  QCheck2.Test.make ~count:500 ~print:R.to_string
     ~name:"alpha_canonical = the two-pass renaming"
     (restricted_gen many_refs_gen)
     (fun t -> R.equal (R.alpha_canonical t) (Two_pass.alpha_canonical t))
 
 let prop_alpha_idempotent_physically =
-  QCheck2.Test.make ~count:500 ~print:print_restricted
+  QCheck2.Test.make ~count:500 ~print:R.to_string
     ~name:"alpha_canonical is idempotent and keeps canonical terms physically"
     (restricted_gen many_refs_gen)
     (fun t ->
@@ -902,7 +900,7 @@ let general_refs t =
   match General.refs (R.to_general t) with r -> Some r | exception Invalid_argument _ -> None
 
 let prop_refs_match_general =
-  QCheck2.Test.make ~count:1000 ~print:print_restricted
+  QCheck2.Test.make ~count:1000 ~print:R.to_string
     ~name:"one-pass refs and well_formed = the General route"
     QCheck2.Gen.(
       oneof
