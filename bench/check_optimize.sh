@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: tier-1 build + tests (which include the search-fingerprint
+# CI gate: tier-1 build + tests (which include the fingerprint
 # test and the same optimize.exe assertions at runtest scale), then the
 # cold-optimization assertions — every query of the EXP-A mix and
 # conj1-4 at n_docs=50 must explore exactly the committed baseline's

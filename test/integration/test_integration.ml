@@ -864,7 +864,7 @@ let () =
           F.case "trace shows the normalization" test_trace_shows_normalization;
           QCheck_alcotest.to_alcotest prop_inverse_joins_match_naive;
         ] );
-      ("search-fingerprint", [ F.case "EXP-A mix and conj1-4 at 50 docs" test_search_fingerprint ]);
+      ("fingerprint", [ F.case "EXP-A mix and conj1-4 at 50 docs" test_search_fingerprint ]);
       ( "reports",
         [
           F.case "report fields" test_report_fields;
